@@ -74,7 +74,8 @@ func cmdServe(args []string) error {
 		fmt.Printf("grant path: lock-free relaxed core, %d shards\n", *relaxedShards)
 	}
 	fmt.Printf("serving %s (size %d, %d tasks) on %s\n", f.name, size, g.NumNodes(), addr)
-	fmt.Println("protocol: POST /task | POST /done {\"task\": id} | POST /failed {\"task\": id} | GET /status | GET /healthz | GET /metrics")
+	fmt.Println("protocol: POST /tasks {\"k\": n} | POST /report {\"done\": [ids], \"failed\": [ids], \"k\": n} | GET /status | GET /healthz | GET /metrics")
+	fmt.Println("          POST /task | POST /done {\"task\": id} | POST /failed {\"task\": id} are the k=1 forms of /tasks and /report")
 
 	handler := srv.Handler()
 	if *withPprof {

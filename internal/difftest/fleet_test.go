@@ -1,0 +1,439 @@
+package difftest
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"icsched/internal/dag"
+	"icsched/internal/icserver"
+	"icsched/internal/jobs"
+	"icsched/internal/shard"
+)
+
+// reply is one scripted response.  A wireScript answers requests
+// strictly in order, whatever their path, so the script IS the
+// conversation: the client under test decides what to send, the golden
+// table pins what it sent.
+type reply struct {
+	code int
+	body string
+}
+
+type wireScript struct {
+	t       *testing.T
+	mu      sync.Mutex
+	replies []reply
+	got     []string
+}
+
+func (s *wireScript) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, _ := io.ReadAll(r.Body)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.Method == http.MethodPost && r.Header.Get("X-IC-Client") != "golden" {
+		s.t.Errorf("%s %s: X-IC-Client = %q, want golden", r.Method, r.URL.Path, r.Header.Get("X-IC-Client"))
+	}
+	s.got = append(s.got, strings.TrimSpace(fmt.Sprintf("%s %s %s", r.Method, r.URL.Path, body)))
+	if len(s.replies) == 0 {
+		s.t.Errorf("request %d (%s %s) is past the end of the script", len(s.got), r.Method, r.URL.Path)
+		w.WriteHeader(http.StatusInternalServerError)
+		return
+	}
+	next := s.replies[0]
+	s.replies = s.replies[1:]
+	w.WriteHeader(next.code)
+	_, _ = io.WriteString(w, next.body)
+}
+
+const (
+	unavailable503 = `{"error":"unavailable","reason":"killed"}`
+	ackSummary     = `"newlyEligible":1,"completed":1,"duplicates":0,"requeued":0,"quarantined":0`
+)
+
+// failOnce returns a Compute body that fails task v the first time it
+// sees it, so every flavour's golden run carries one hand-back.
+func failOnce(v dag.NodeID) func(dag.NodeID) error {
+	failed := false
+	return func(task dag.NodeID) error {
+		if task == v && !failed {
+			failed = true
+			return errors.New("flaky")
+		}
+		return nil
+	}
+}
+
+// TestWireSequenceGolden pins, byte for byte, the request sequence each
+// of the four client flavours emits against a scripted server that
+// walks it through full, short and empty grants, an idle poll, a 503
+// retry, a typed 409 stale-epoch resync, a hand-back and the terminal
+// state — and for the shard flavour a dry home shard (a steal), a shard
+// down past the retry budget (skipped, then its unacked batch dropped)
+// and both terminals (410 and "finished").  The want tables were
+// captured from the clients as they stood before the three private
+// loops were folded into the one worker engine; they are the contract
+// that the fold changed no wire byte and no request order.
+func TestWireSequenceGolden(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		name    string
+		replies []reply
+		run     func(ctx context.Context, stop context.CancelFunc, url string) (string, error)
+		want    []string
+		stats   string
+		stopped bool // the run ends by context cancellation
+	}{
+		{
+			name: "icserver-batched",
+			replies: []reply{
+				{200, `{"tasks":[{"task":0,"name":"t0","epoch":1}],"epoch":1}`},
+				{200, `{` + ackSummary + `,"tasks":[{"task":1,"name":"t1","epoch":1},{"task":2,"name":"t2","epoch":1}],"epoch":1}`},
+				{503, unavailable503},
+				{409, `{"error":"stale epoch","epoch":2}`},
+				{200, `{"total":5,"completed":1,"epoch":2}`},
+				{200, `{` + ackSummary + `,"tasks":[{"task":2,"name":"t2","epoch":2}],"epoch":2}`},
+				{200, `{` + ackSummary + `,"epoch":2}`},
+				{200, `{"tasks":[],"epoch":2}`},
+				{200, `{"tasks":[{"task":3,"name":"t3","epoch":2}],"epoch":2}`},
+				{200, `{` + ackSummary + `,"finished":true,"epoch":2}`},
+			},
+			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
+				fail := failOnce(2)
+				c := &icserver.Client{BaseURL: url, Batch: 16, ID: "golden", Seed: 1, IdleWait: ms, RetryWait: ms,
+					Compute: func(v dag.NodeID, _ string) error { return fail(v) }}
+				st, err := c.Run(ctx)
+				return fmt.Sprintf("%+v", st), err
+			},
+			want:  goldenBatched,
+			stats: "{Completed:4 IdlePolls:1 Retries:1 Failed:1 Batches:4 Resyncs:1}",
+		},
+		{
+			name: "icserver-legacy",
+			replies: []reply{
+				{200, `{"task":0,"name":"t0","epoch":1}`},
+				{200, `{"newlyEligible":1}`},
+				{204, ``},
+				{503, unavailable503},
+				{200, `{"task":1,"name":"t1","epoch":1}`},
+				{409, `{"error":"stale epoch","epoch":2}`},
+				{200, `{"total":2,"completed":1,"epoch":2}`},
+				{200, `{"requeued":true,"quarantined":false}`},
+				{200, `{"task":1,"name":"t1","epoch":2}`},
+				{200, `{"newlyEligible":0}`},
+				{410, ``},
+			},
+			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
+				fail := failOnce(1)
+				c := &icserver.Client{BaseURL: url, ID: "golden", Seed: 1, IdleWait: ms, RetryWait: ms,
+					Compute: func(v dag.NodeID, _ string) error { return fail(v) }}
+				st, err := c.Run(ctx)
+				return fmt.Sprintf("%+v", st), err
+			},
+			want:  goldenLegacy,
+			stats: "{Completed:2 IdlePolls:1 Retries:1 Failed:1 Batches:0 Resyncs:1}",
+		},
+		{
+			name: "jobs",
+			replies: []reply{
+				{200, `{"job":"j1","epoch":1,"tasks":[{"task":0,"name":"t0"}]}`},
+				{200, `{` + ackSummary + `,"grant":{"job":"j2","epoch":3,"tasks":[{"task":1,"name":"t1"},{"task":2,"name":"t2"}]}}`},
+				{503, unavailable503},
+				{409, `{"error":"stale epoch","epoch":4}`},
+				{200, `{"activeJobs":1,"jobs":[{"job":"j1","epoch":1},{"job":"j2","epoch":5}]}`},
+				{200, `{` + ackSummary + `,"jobFinished":true,"grant":{"tasks":[]}}`},
+				{200, `{"tasks":[]}`},
+				{200, `{"job":"j2","epoch":5,"tasks":[{"task":2,"name":"t2"}]}`},
+				{200, `{` + ackSummary + `,"grant":{"job":"j3","epoch":1,"tasks":[{"task":7,"name":"t7"}]}}`},
+			},
+			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
+				fail := failOnce(2)
+				c := &jobs.Client{BaseURL: url, Batch: 8, ID: "golden", Seed: 1, IdleWait: ms, RetryWait: ms,
+					Compute: func(_ string, v dag.NodeID, _ string) error {
+						if v == 7 {
+							stop() // a job fleet never finishes: it is stopped, here with a grant in hand
+						}
+						return fail(v)
+					}}
+				st, err := c.Run(ctx)
+				return fmt.Sprintf("%+v", st), err
+			},
+			want:    goldenJobs,
+			stats:   "{Completed:3 Failed:1 Batches:4 IdlePolls:1 Retries:1 Resyncs:1 JobsFinished:1}",
+			stopped: true,
+		},
+		{
+			name: "shard-worker",
+			replies: []reply{
+				// Sweep 1 (home 1, then 2, then 0): home dry, steal from 2.
+				{200, `{"tasks":[],"epoch":1}`},
+				{200, `{"tasks":[{"task":5,"name":"s2t5","epoch":1}],"epoch":1}`},
+				{200, `{` + ackSummary + `,"epoch":1}`},
+				// Sweep 2: home down past the budget (2 tries) → skipped;
+				// shard 2 grants again, then dies holding the unacked batch.
+				{503, unavailable503},
+				{503, unavailable503},
+				{200, `{"tasks":[{"task":6,"name":"s2t6","epoch":1},{"task":7,"name":"s2t7","epoch":1}],"epoch":1}`},
+				{503, unavailable503},
+				{503, unavailable503},
+				// ...so the sweep goes on to shard 0: dry.  Idle.
+				{200, `{"tasks":[],"epoch":1}`},
+				// Sweep 3: home back after one 503; its ack is fenced, the
+				// resync reads /shard/1/status, the re-sent ack is terminal.
+				{503, unavailable503},
+				{200, `{"tasks":[{"task":0,"name":"s1t0","epoch":1}],"epoch":1}`},
+				{409, `{"error":"stale epoch","epoch":2}`},
+				{200, `{"total":1,"completed":0,"epoch":2}`},
+				{200, `{` + ackSummary + `,"finished":true,"epoch":2}`},
+				// Sweep 4: shard 2 is gone (410), shard 0 grants; the failed
+				// task comes back on the piggyback and the next ack is terminal.
+				{410, ``},
+				{200, `{"tasks":[{"task":9,"name":"s0t9","epoch":1}],"epoch":1}`},
+				{200, `{` + ackSummary + `,"tasks":[{"task":9,"name":"s0t9","epoch":1}],"epoch":1}`},
+				{200, `{` + ackSummary + `,"finished":true,"epoch":1}`},
+			},
+			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
+				fail := failOnce(9)
+				w := &shard.Worker{BaseURL: url, Shards: 3, Home: 1, ID: "golden", Seed: 1, IdleWait: ms, RetryWait: ms,
+					MaxAttempts: 2, Compute: func(_ int, v dag.NodeID, _ string) error { return fail(v) }}
+				st, err := w.Run(ctx)
+				return fmt.Sprintf("%+v", st), err
+			},
+			want:  goldenShard,
+			stats: "{Completed:3 Failed:1 Batches:5 Steals:2 IdlePolls:1 Retries:3 Resyncs:1 Dropped:2}",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			script := &wireScript{t: t, replies: tc.replies}
+			ts := httptest.NewServer(script)
+			defer ts.Close()
+			stats, err := tc.run(ctx, cancel, ts.URL)
+			if tc.stopped {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("Run = %v, want context.Canceled", err)
+				}
+			} else if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			script.mu.Lock()
+			defer script.mu.Unlock()
+			if len(script.replies) != 0 {
+				t.Errorf("%d scripted replies never asked for", len(script.replies))
+			}
+			if got, want := strings.Join(script.got, "\n"), strings.Join(tc.want, "\n"); got != want {
+				t.Errorf("wire sequence changed\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+			if stats != tc.stats {
+				t.Errorf("stats = %s\n        want %s", stats, tc.stats)
+			}
+		})
+	}
+}
+
+var goldenBatched = []string{
+	`POST /tasks {"k":1}`,
+	`POST /report {"done":[0],"failed":null,"k":2,"epoch":1}`,
+	`POST /report {"done":[1],"failed":[2],"k":4,"epoch":1}`,
+	`POST /report {"done":[1],"failed":[2],"k":4,"epoch":1}`,
+	`GET /status`,
+	`POST /report {"done":[1],"failed":[2],"k":4,"epoch":2}`,
+	`POST /report {"done":[2],"failed":null,"k":4,"epoch":2}`,
+	`POST /tasks {"k":4}`,
+	`POST /tasks {"k":1}`,
+	`POST /report {"done":[3],"failed":null,"k":2,"epoch":2}`,
+}
+
+var goldenLegacy = []string{
+	`POST /task`,
+	`POST /done {"task":0,"epoch":1}`,
+	`POST /task`,
+	`POST /task`,
+	`POST /task`,
+	`POST /failed {"task":1,"epoch":1}`,
+	`GET /status`,
+	`POST /failed {"task":1,"epoch":2}`,
+	`POST /task`,
+	`POST /done {"task":1,"epoch":2}`,
+	`POST /task`,
+}
+
+var goldenJobs = []string{
+	`POST /tasks {"k":1}`,
+	`POST /report {"job":"j1","epoch":1,"done":[0],"k":2}`,
+	`POST /report {"job":"j2","epoch":3,"done":[1],"failed":[2],"k":4}`,
+	`POST /report {"job":"j2","epoch":3,"done":[1],"failed":[2],"k":4}`,
+	`GET /status`,
+	`POST /report {"job":"j2","epoch":5,"done":[1],"failed":[2],"k":4}`,
+	`POST /tasks {"k":4}`,
+	`POST /tasks {"k":1}`,
+	`POST /report {"job":"j2","epoch":5,"done":[2],"k":2}`,
+}
+
+var goldenShard = []string{
+	`POST /shard/1/tasks {"k":1}`,
+	`POST /shard/2/tasks {"k":1}`,
+	`POST /shard/2/report {"done":[5],"failed":null,"k":2,"epoch":1}`,
+	`POST /shard/1/tasks {"k":1}`,
+	`POST /shard/1/tasks {"k":1}`,
+	`POST /shard/2/tasks {"k":2}`,
+	`POST /shard/2/report {"done":[6,7],"failed":null,"k":4,"epoch":1}`,
+	`POST /shard/2/report {"done":[6,7],"failed":null,"k":4,"epoch":1}`,
+	`POST /shard/0/tasks {"k":1}`,
+	`POST /shard/1/tasks {"k":1}`,
+	`POST /shard/1/tasks {"k":1}`,
+	`POST /shard/1/report {"done":[0],"failed":null,"k":2,"epoch":1}`,
+	`GET /shard/1/status`,
+	`POST /shard/1/report {"done":[0],"failed":null,"k":2,"epoch":2}`,
+	`POST /shard/2/tasks {"k":4}`,
+	`POST /shard/0/tasks {"k":1}`,
+	`POST /shard/0/report {"done":null,"failed":[9],"k":2,"epoch":1}`,
+	`POST /shard/0/report {"done":[9],"failed":null,"k":2,"epoch":1}`,
+}
+
+// fleetFlavours builds one worker of each client flavour against url,
+// for the tests that hold all of them to one contract.
+var fleetFlavours = []struct {
+	name string
+	run  func(ctx context.Context, url string, seed int64) error
+}{
+	{"icserver-batched", func(ctx context.Context, url string, seed int64) error {
+		_, err := (&icserver.Client{BaseURL: url, Batch: 16, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
+		return err
+	}},
+	{"icserver-legacy", func(ctx context.Context, url string, seed int64) error {
+		_, err := (&icserver.Client{BaseURL: url, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
+		return err
+	}},
+	{"jobs", func(ctx context.Context, url string, seed int64) error {
+		_, err := (&jobs.Client{BaseURL: url, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
+		return err
+	}},
+	{"shard-worker", func(ctx context.Context, url string, seed int64) error {
+		_, err := (&shard.Worker{BaseURL: url + "/x", Shards: 1, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
+		return err
+	}},
+}
+
+// TestUnseededWorkersRaceFree runs two Seed: 0 workers of every flavour
+// against a server that never has work, so all eight draw their default
+// seed and jitter concurrently.  Under -race this pins that default
+// seeds come from one atomic counter (the shard worker's used to be a
+// plain package variable bumped under a per-worker lock).
+func TestUnseededWorkersRaceFree(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/task") {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		_, _ = io.WriteString(w, `{"tasks":[]}`)
+	}))
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, f := range fleetFlavours {
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := f.run(ctx, ts.URL, 0); !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("%s: Run = %v, want the deadline", f.name, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestResyncEpochContract holds every flavour to one stale-epoch resync
+// contract.  Each run is granted task 0 under epoch 1 and has its ack
+// rejected with the typed 409; what it does next depends only on where
+// an epoch can still be read: GET /status first, the rejection body
+// second, and with neither — or a cancelled context — it must stop, never
+// re-send the ack unfenced under epoch 0.
+func TestResyncEpochContract(t *testing.T) {
+	grants := map[string][2]string{ // flavour → {grant reply, /status reply carrying epoch 7}
+		"icserver-batched": {`{"tasks":[{"task":0,"name":"t0","epoch":1}],"epoch":1}`, `{"epoch":7}`},
+		"icserver-legacy":  {`{"task":0,"name":"t0","epoch":1}`, `{"epoch":7}`},
+		"jobs":             {`{"job":"j1","epoch":1,"tasks":[{"task":0,"name":"t0"}]}`, `{"jobs":[{"job":"j0","epoch":3},{"job":"j1","epoch":7}]}`},
+		"shard-worker":     {`{"tasks":[{"task":0,"name":"t0","epoch":1}],"epoch":1}`, `{"epoch":7}`},
+	}
+	cases := []struct {
+		name      string
+		status    string // "" = /status answers 500
+		rejection string
+		cancel    bool   // cancel the run's context while /status is being read
+		resent    string // substring of the re-sent ack; "" = no re-send
+		wantErr   string
+	}{
+		{"status ok", "ok", `{"error":"stale epoch","epoch":5}`, false, `"epoch":7`, ""},
+		{"status down, body epoch", "", `{"error":"stale epoch","epoch":5}`, false, `"epoch":5`, ""},
+		{"status down, no epoch", "", `{"error":"stale epoch"}`, false, "", "without a recoverable epoch"},
+		{"ctx cancelled", "", `{"error":"stale epoch","epoch":5}`, true, "", context.Canceled.Error()},
+	}
+	for _, f := range fleetFlavours {
+		for _, tc := range cases {
+			t.Run(f.name+"/"+tc.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var mu sync.Mutex
+				var posts []string
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					body, _ := io.ReadAll(r.Body)
+					mu.Lock()
+					defer mu.Unlock()
+					switch {
+					case r.Method == http.MethodGet:
+						if tc.cancel {
+							cancel()
+						}
+						if tc.status == "" {
+							w.WriteHeader(http.StatusInternalServerError)
+							return
+						}
+						_, _ = io.WriteString(w, grants[f.name][1])
+					case len(posts) == 0: // the poll
+						posts = append(posts, string(body))
+						_, _ = io.WriteString(w, grants[f.name][0])
+					case len(posts) == 1: // the ack under epoch 1
+						posts = append(posts, string(body))
+						w.WriteHeader(http.StatusConflict)
+						_, _ = io.WriteString(w, tc.rejection)
+					default: // the re-sent ack: end the run
+						posts = append(posts, string(body))
+						cancel()
+					}
+				}))
+				defer ts.Close()
+				err := f.run(ctx, ts.URL, 1)
+				mu.Lock()
+				defer mu.Unlock()
+				if len(posts) < 2 || !strings.Contains(posts[1], `"epoch":1`) {
+					t.Fatalf("requests %q: want a poll, then an ack under epoch 1", posts)
+				}
+				if tc.resent == "" {
+					if len(posts) != 2 {
+						t.Fatalf("ack re-sent as %q without a recoverable epoch", posts[2:])
+					}
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("Run = %v, want an error containing %q", err, tc.wantErr)
+					}
+					return
+				}
+				if len(posts) != 3 || !strings.Contains(posts[2], tc.resent) {
+					t.Fatalf("requests %q: want the ack re-sent once with %s", posts, tc.resent)
+				}
+			})
+		}
+	}
+}

@@ -6,13 +6,16 @@ import (
 	"time"
 )
 
+// The jitter rng lives in the Engine every fleet client runs, so these
+// properties hold for icserver.Client, jobs.Client and shard.Worker alike.
+
 // TestJitterSeedReplay is the determinism half of the jitter fix: two
-// clients with the same Seed must produce identical backoff sequences.
+// engines with the same Seed must produce identical backoff sequences.
 // (The old code seeded lazily from the global rand, so no two runs ever
 // backed off the same way and chaos seeds were not replayable.)
 func TestJitterSeedReplay(t *testing.T) {
-	a := &Client{Seed: 99}
-	b := &Client{Seed: 99}
+	a := &Engine{Seed: 99}
+	b := &Engine{Seed: 99}
 	for i := 0; i < 200; i++ {
 		d := time.Duration(1+i%16) * time.Millisecond
 		ja, jb := a.jitter(d), b.jitter(d)
@@ -25,12 +28,12 @@ func TestJitterSeedReplay(t *testing.T) {
 	}
 }
 
-// TestJitterDefaultSeedsDistinct checks that unconfigured clients do not
+// TestJitterDefaultSeedsDistinct checks that unconfigured workers do not
 // all collapse onto one sequence: the per-process default hands each its
-// own seed.
+// own seed.  (jobs.Client used to seed with a literal 0 and did collapse.)
 func TestJitterDefaultSeedsDistinct(t *testing.T) {
-	a := &Client{}
-	b := &Client{}
+	a := &Engine{}
+	b := &Engine{}
 	same := true
 	for i := 0; i < 64; i++ {
 		if a.jitter(time.Second) != b.jitter(time.Second) {
@@ -38,13 +41,13 @@ func TestJitterDefaultSeedsDistinct(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("two default-seeded clients produced identical jitter sequences")
+		t.Fatal("two default-seeded engines produced identical jitter sequences")
 	}
 }
 
 // TestJitterTinyDuration covers the d/2 == 0 degenerate range.
 func TestJitterTinyDuration(t *testing.T) {
-	c := &Client{Seed: 1}
+	c := &Engine{Seed: 1}
 	if got := c.jitter(time.Nanosecond); got != time.Nanosecond {
 		t.Fatalf("jitter(1ns) = %v", got)
 	}
@@ -53,7 +56,7 @@ func TestJitterTinyDuration(t *testing.T) {
 // TestJitterConcurrentInit hammers first use from many goroutines; run
 // under -race this pins the once-guarded rng initialization.
 func TestJitterConcurrentInit(t *testing.T) {
-	c := &Client{Seed: 7}
+	c := &Engine{Seed: 7}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

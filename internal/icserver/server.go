@@ -242,7 +242,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		latTasks:  lat("/tasks"),
 		latReport: lat("/report"),
 		grantsPerRequest: reg.Histogram("icserver_grants_per_request",
-			"tasks granted per batched /tasks request", grantBuckets),
+			"tasks granted per /task or /tasks request", grantBuckets),
 		lockHold: reg.Histogram("icserver_lock_hold_seconds",
 			"scheduler-lock hold time per allocation request", latencyBuckets),
 		allocations:   reg.Counter("icserver_allocations_total", "lease grants (initial allocations + reissues)"),
@@ -609,15 +609,16 @@ func (s *Server) fenceStale(w http.ResponseWriter, reqEpoch uint64) bool {
 	return true
 }
 
+// handleTask serves POST /task, the k=1 form of /tasks.
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	s.m.reqTask.Inc()
 	if refused, _ := s.refuse(w, true); refused {
 		return
 	}
-	v, state := s.allocate(r.Header.Get(clientHeader))
+	batch, state := s.allocateBatch(1, r.Header.Get(clientHeader))
 	switch state {
 	case AllocOK:
-		writeJSON(w, taskResponse{Task: v, Name: s.g.Name(v), Epoch: s.epoch})
+		writeJSON(w, taskResponse{Task: batch[0], Name: s.g.Name(batch[0]), Epoch: s.epoch})
 	case AllocEmpty:
 		w.WriteHeader(http.StatusNoContent)
 	case AllocFinished:
@@ -650,42 +651,36 @@ func decodeTask(w http.ResponseWriter, r *http.Request) (doneRequest, bool) {
 
 func (s *Server) handleDone(w http.ResponseWriter, r *http.Request) {
 	s.m.reqDone.Inc()
-	req, ok := decodeTask(w, r)
-	if !ok {
-		return
+	if rep, ok := s.handleOne(w, r, false); ok {
+		writeJSON(w, doneResponse{NewlyEligible: rep.NewlyEligible})
 	}
-	if refused, _ := s.refuse(w, false); refused {
-		return
-	}
-	if s.fenceStale(w, req.Epoch) {
-		return
-	}
-	k, err := s.complete(req.Task, r.Header.Get(clientHeader))
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	writeJSON(w, doneResponse{NewlyEligible: k})
 }
 
 func (s *Server) handleFailed(w http.ResponseWriter, r *http.Request) {
 	s.m.reqFailed.Inc()
+	if rep, ok := s.handleOne(w, r, true); ok {
+		writeJSON(w, failedResponse{Requeued: rep.Requeued > 0, Quarantined: rep.Quarantined > 0})
+	}
+}
+
+// handleOne serves /done and /failed, the k=1 forms of /report: one
+// task acked through the batched core, the error response written here.
+func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, failed bool) (BatchReport, bool) {
 	req, ok := decodeTask(w, r)
 	if !ok {
-		return
+		return BatchReport{}, false
 	}
 	if refused, _ := s.refuse(w, false); refused {
-		return
+		return BatchReport{}, false
 	}
 	if s.fenceStale(w, req.Epoch) {
-		return
+		return BatchReport{}, false
 	}
-	requeued, quarantined, err := s.fail(req.Task, r.Header.Get(clientHeader))
+	rep, err := s.reportOne(req.Task, failed, r.Header.Get(clientHeader))
 	if err != nil {
 		writeCoreError(w, err)
-		return
 	}
-	writeJSON(w, failedResponse{Requeued: requeued, Quarantined: quarantined})
+	return rep, err == nil
 }
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
@@ -828,34 +823,15 @@ const (
 )
 
 // Allocate hands out the next task per the policy, reissuing expired
-// leases and handed-back tasks first.  Exposed for in-process use (the
-// simulator-free examples and tests drive it directly).
-func (s *Server) Allocate() (dag.NodeID, AllocState) { return s.allocate("") }
-
-func (s *Server) allocate(actor string) (dag.NodeID, AllocState) {
-	if s.relax != nil {
-		batch, state := s.relaxedAllocateBatch(1, actor)
-		if state == AllocOK {
-			return batch[0], AllocOK
-		}
+// leases and handed-back tasks first: AllocateBatch(1).  Exposed for
+// in-process use (the simulator-free examples and tests drive it
+// directly).
+func (s *Server) Allocate() (dag.NodeID, AllocState) {
+	batch, state := s.allocateBatch(1, "")
+	if state != AllocOK {
 		return 0, state
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.unavailableLocked() != nil {
-		return 0, AllocEmpty // not a stall: the incarnation is dead or wounded
-	}
-	held := time.Now()
-	v, state := s.allocateOneLocked(s.now(), actor)
-	s.flushCursorLocked()
-	if state == AllocEmpty {
-		s.stalls++
-		s.m.stalls.Inc()
-	}
-	s.syncGaugesLocked()
-	s.maybeSnapshotLocked()
-	s.m.lockHold.Observe(time.Since(held).Seconds())
-	return v, state
+	return batch[0], AllocOK
 }
 
 // AllocateBatch grants up to k tasks in allocation order — expired-lease
@@ -1031,20 +1007,20 @@ func (s *Server) quarantineLocked(v dag.NodeID, actor string) {
 }
 
 // Complete records a finished task, returning how many tasks became
-// newly ELIGIBLE.  Duplicate completions (late lease-holders) are
-// idempotent no-ops; a late completion of a quarantined task rescues it
-// from the quarantined set.
-func (s *Server) Complete(v dag.NodeID) (int, error) { return s.complete(v, "") }
+// newly ELIGIBLE: a one-task Report.  Duplicate completions (late
+// lease-holders) are idempotent no-ops; a late completion of a
+// quarantined task rescues it from the quarantined set.
+func (s *Server) Complete(v dag.NodeID) (int, error) {
+	rep, err := s.reportOne(v, false, "")
+	return rep.NewlyEligible, err
+}
 
-func (s *Server) complete(v dag.NodeID, actor string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.unavailableLocked(); err != nil {
-		return 0, err
+// reportOne is the k=1 form of report: v acked done, or handed back.
+func (s *Server) reportOne(v dag.NodeID, failed bool, actor string) (BatchReport, error) {
+	if failed {
+		return s.report(nil, []dag.NodeID{v}, actor)
 	}
-	defer s.maybeSnapshotLocked()
-	defer s.syncGaugesLocked()
-	return s.completeLocked(v, actor)
+	return s.report([]dag.NodeID{v}, nil, actor)
 }
 
 func (s *Server) completeLocked(v dag.NodeID, actor string) (int, error) {
@@ -1084,23 +1060,13 @@ func (s *Server) completeLocked(v dag.NodeID, actor string) (int, error) {
 	return len(packet), nil
 }
 
-// Fail hands a task back early (the client's computation failed).  The
-// task is requeued ahead of the policy, or quarantined once it has been
-// handed out MaxAttempts times.  Failing a completed task is an
-// idempotent no-op.
+// Fail hands a task back early (the client's computation failed): a
+// one-task Report.  The task is requeued ahead of the policy, or
+// quarantined once it has been handed out MaxAttempts times.  Failing a
+// completed task is an idempotent no-op.
 func (s *Server) Fail(v dag.NodeID) (requeued, quarantined bool, err error) {
-	return s.fail(v, "")
-}
-
-func (s *Server) fail(v dag.NodeID, actor string) (requeued, quarantined bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.unavailableLocked(); err != nil {
-		return false, false, err
-	}
-	defer s.maybeSnapshotLocked()
-	defer s.syncGaugesLocked()
-	return s.failLocked(v, actor)
+	rep, err := s.reportOne(v, true, "")
+	return rep.Requeued > 0, rep.Quarantined > 0, err
 }
 
 func (s *Server) failLocked(v dag.NodeID, actor string) (requeued, quarantined bool, err error) {

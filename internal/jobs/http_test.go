@@ -273,3 +273,19 @@ func TestHTTPTypedErrors(t *testing.T) {
 		t.Fatalf("draining /status -> %d %+v", code, sum)
 	}
 }
+
+// TestClientSeedReachesEngine pins the default-seeding fix.  The old
+// client seeded its own rng with Seed as given, so every unseeded fleet
+// worker (Seed 0) drew the SAME jitter stream and the fleet backed off in
+// lockstep.  The client now hands Seed to the shared engine untouched,
+// and the engine gives each unseeded worker the next per-process default
+// (that two unseeded engines draw different sequences is asserted where
+// the rng lives, in icserver's TestJitterDefaultSeedsDistinct).
+func TestClientSeedReachesEngine(t *testing.T) {
+	if e := (&Client{}).engine(); e.Seed != 0 || e.Batch != 8 {
+		t.Fatalf("unseeded client: engine Seed %d Batch %d, want 0 (engine picks a default) and 8", e.Seed, e.Batch)
+	}
+	if e := (&Client{Seed: 42, Batch: 3}).engine(); e.Seed != 42 || e.Batch != 3 {
+		t.Fatalf("seeded client: engine Seed %d Batch %d, want 42 and 3", e.Seed, e.Batch)
+	}
+}

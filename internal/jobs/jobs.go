@@ -452,6 +452,8 @@ func (s *Server) analyzeCached(j *Job) error {
 		return err
 	}
 	j.order = res.Order
+	s.mu.Lock() // JobByID and Jobs read cacheHit and replay under s.mu while the job is still in the pipeline
+	defer s.mu.Unlock()
 	j.cacheHit = res.Hit
 	// Replay requires an exact-labeling entry: identity translation means
 	// the cached order is byte-for-byte what analyzeJob(g) re-derives, so

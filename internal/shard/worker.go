@@ -1,15 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
 	"icsched/internal/dag"
@@ -20,10 +14,11 @@ import (
 // polling it first for every batch, so the steady state keeps each
 // shard's cache-warm fleet local — and steals work from the other
 // shards round-robin when the home frontier runs dry (the wavefront
-// may simply be elsewhere in the dag).  It speaks the batched
-// icserver wire protocol against a Coordinator's /shard/<i>/ mounts,
-// tracking one fencing epoch per shard and resyncing per shard after
-// a kill/recover bump.
+// may simply be elsewhere in the dag).  It is icserver.Engine speaking
+// the plain icserver dialect to a Coordinator's /shard/<i>/ mounts,
+// listed home first: the engine keeps one ask and one fencing epoch per
+// shard, resyncs per shard after a kill/recover bump, and skips a shard
+// that stays down past the retry budget until the next sweep.
 type Worker struct {
 	// BaseURL of the coordinator (e.g. an httptest.Server URL).
 	BaseURL string
@@ -43,7 +38,7 @@ type Worker struct {
 	Batch int
 	// ID names the worker for the X-IC-Client header.
 	ID string
-	// Seed seeds backoff jitter (0 picks a process-default).
+	// Seed seeds backoff jitter (0 takes the next per-process default).
 	Seed int64
 
 	IdleWait     time.Duration // initial idle backoff (default 2ms)
@@ -51,10 +46,6 @@ type Worker struct {
 	RetryWait    time.Duration // initial transient-failure backoff (default 5ms)
 	RetryWaitMax time.Duration // retry backoff cap (default 500ms)
 	MaxAttempts  int           // tries per request (default 8)
-
-	rngOnce sync.Once
-	rngMu   sync.Mutex
-	rng     *rand.Rand
 }
 
 // WorkerStats reports one worker's activity.
@@ -80,342 +71,27 @@ type WorkerStats struct {
 	Dropped int
 }
 
-// workerSeq hands out default jitter seeds, mirroring icserver.Client.
-var workerSeq int64 = 1 << 32
-
-func (w *Worker) defaults() (idle, idleMax, retry, retryMax time.Duration, attempts, batch int, httpc *http.Client) {
-	idle, idleMax, retry, retryMax = w.IdleWait, w.IdleWaitMax, w.RetryWait, w.RetryWaitMax
-	if idle <= 0 {
-		idle = 2 * time.Millisecond
-	}
-	if idleMax <= 0 {
-		idleMax = 250 * time.Millisecond
-	}
-	if idleMax < idle {
-		idleMax = idle
-	}
-	if retry <= 0 {
-		retry = 5 * time.Millisecond
-	}
-	if retryMax <= 0 {
-		retryMax = 500 * time.Millisecond
-	}
-	if retryMax < retry {
-		retryMax = retry
-	}
-	if attempts = w.MaxAttempts; attempts <= 0 {
-		attempts = 8
-	}
-	if batch = w.Batch; batch <= 0 {
-		batch = 16
-	}
-	if httpc = w.HTTP; httpc == nil {
-		httpc = http.DefaultClient
-	}
-	return
-}
-
-func (w *Worker) jitter(d time.Duration) time.Duration {
-	w.rngOnce.Do(func() {
-		seed := w.Seed
-		if seed == 0 {
-			w.rngMu.Lock()
-			workerSeq++
-			seed = workerSeq
-			w.rngMu.Unlock()
-		}
-		w.rng = rand.New(rand.NewSource(seed))
-	})
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	w.rngMu.Lock()
-	defer w.rngMu.Unlock()
-	return half + time.Duration(w.rng.Int63n(int64(half)))
-}
-
-// errShardDown marks a shard that stayed unreachable past the retry
-// budget; the worker abandons its in-hand work there and moves on.
-var errShardDown = errors.New("shard: shard unreachable")
-
-// wireTask mirrors the icserver grant entry.
-type wireTask struct {
-	Task  dag.NodeID `json:"task"`
-	Name  string     `json:"name"`
-	Epoch uint64     `json:"epoch,omitempty"`
-}
-
-type wireTasksResp struct {
-	Tasks []wireTask `json:"tasks"`
-	Epoch uint64     `json:"epoch,omitempty"`
-}
-
-type wireReport struct {
-	Done   []dag.NodeID `json:"done"`
-	Failed []dag.NodeID `json:"failed"`
-	K      int          `json:"k,omitempty"`
-	Epoch  uint64       `json:"epoch,omitempty"`
-}
-
-type wireReportResp struct {
-	Tasks    []wireTask `json:"tasks,omitempty"`
-	Finished bool       `json:"finished,omitempty"`
-	Epoch    uint64     `json:"epoch,omitempty"`
-}
-
-type wireStaleEpoch struct {
-	Error string `json:"error"`
-	Epoch uint64 `json:"epoch"`
-}
-
 // Run loops until every shard reports finished, the context is
 // cancelled, or Compute crashes.
 func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
-	var stats WorkerStats
 	if w.Shards < 1 || w.Home < 0 || w.Home >= w.Shards {
-		return stats, fmt.Errorf("shard: worker home %d out of range [0, %d)", w.Home, w.Shards)
+		return WorkerStats{}, fmt.Errorf("shard: worker home %d out of range [0, %d)", w.Home, w.Shards)
 	}
-	idleBase, idleMax, _, _, _, _, _ := w.defaults()
-	finished := make([]bool, w.Shards)
-	epochs := make([]uint64, w.Shards)
-	asks := make([]int, w.Shards)
-	for i := range asks {
-		asks[i] = 1
+	e := icserver.Engine{Batch: w.Batch, HTTP: w.HTTP, ID: w.ID, Seed: w.Seed, IdleWait: w.IdleWait,
+		IdleWaitMax: w.IdleWaitMax, RetryWait: w.RetryWait, RetryWaitMax: w.RetryWaitMax, MaxAttempts: w.MaxAttempts}
+	if e.Batch <= 0 {
+		e.Batch = 16
 	}
-	idle := idleBase
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		allDone := true
-		progressed := false
-		for t := 0; t < w.Shards; t++ {
-			s := (w.Home + t) % w.Shards
-			if finished[s] {
-				continue
-			}
-			allDone = false
-			moved, err := w.drainShard(ctx, s, finished, epochs, asks, &stats)
-			if err != nil {
-				if errors.Is(err, errShardDown) {
-					continue // killed or mid-recovery: try other shards, come back
-				}
-				return stats, err
-			}
-			if moved {
-				if t != 0 {
-					stats.Steals++
-				}
-				progressed = true
-				break // back to home preference for the next batch
-			}
-		}
-		if allDone {
-			return stats, nil
-		}
-		if progressed {
-			idle = idleBase
-			continue
-		}
-		stats.IdlePolls++
-		if err := sleepCtx(ctx, w.jitter(idle)); err != nil {
-			return stats, err
-		}
-		if idle *= 2; idle > idleMax {
-			idle = idleMax
-		}
+	// Endpoint t of the engine is shard (Home+t) mod Shards: home first,
+	// then the others round-robin.
+	shardOf := func(t int) int { return (w.Home + t) % w.Shards }
+	for t := 0; t < w.Shards; t++ {
+		e.Endpoints = append(e.Endpoints, fmt.Sprintf("%s/shard/%d", w.BaseURL, shardOf(t)))
 	}
-}
-
-// drainShard pulls one bootstrap grant from shard s and, while
-// piggybacked grants keep coming, computes and acks batches there.
-// It reports whether any batch was processed.
-func (w *Worker) drainShard(ctx context.Context, s int, finished []bool, epochs []uint64, asks []int, stats *WorkerStats) (bool, error) {
-	_, _, _, _, _, batchCap, _ := w.defaults()
-	payload, err := json.Marshal(map[string]int{"k": asks[s]})
-	if err != nil {
-		return false, err
+	if w.Compute != nil {
+		e.Compute = func(t int, _ string, task dag.NodeID, name string) error { return w.Compute(shardOf(t), task, name) }
 	}
-	code, body, err := w.postRetry(ctx, s, "/tasks", payload, stats)
-	if err != nil {
-		return false, err
-	}
-	switch code {
-	case http.StatusGone:
-		finished[s] = true
-		return false, nil
-	case http.StatusOK:
-	default:
-		return false, fmt.Errorf("shard worker: shard %d /tasks returned %d: %s", s, code, body)
-	}
-	var grant wireTasksResp
-	if err := json.Unmarshal(body, &grant); err != nil {
-		return false, fmt.Errorf("shard worker: %w", err)
-	}
-	if grant.Epoch != 0 {
-		epochs[s] = grant.Epoch
-	}
-	if len(grant.Tasks) == 0 {
-		asks[s] = 1
-		return false, nil
-	}
-	batch := grant.Tasks
-	moved := false
-	for len(batch) > 0 {
-		moved = true
-		stats.Batches++
-		report := wireReport{}
-		for _, task := range batch {
-			if w.Compute == nil {
-				report.Done = append(report.Done, task.Task)
-				continue
-			}
-			if err := w.Compute(s, task.Task, task.Name); err != nil {
-				if errors.Is(err, icserver.ErrCrash) {
-					return moved, err
-				}
-				report.Failed = append(report.Failed, task.Task)
-				continue
-			}
-			report.Done = append(report.Done, task.Task)
-		}
-		if len(batch) == asks[s] {
-			if asks[s] *= 2; asks[s] > batchCap {
-				asks[s] = batchCap
-			}
-		}
-		report.K = asks[s]
-		acked, err := w.sendReport(ctx, s, &report, epochs, stats)
-		if err != nil {
-			if errors.Is(err, errShardDown) {
-				// The shard died holding our unacked batch: abandon it (lease
-				// expiry re-grants; completion is idempotent) and move on.
-				stats.Dropped += len(report.Done) + len(report.Failed)
-			}
-			return moved, err
-		}
-		stats.Completed += len(report.Done)
-		stats.Failed += len(report.Failed)
-		if acked.Finished {
-			finished[s] = true
-			return moved, nil
-		}
-		batch = acked.Tasks
-	}
-	return moved, nil
-}
-
-// sendReport acks one batch on shard s, resyncing across that shard's
-// epoch bumps.
-func (w *Worker) sendReport(ctx context.Context, s int, report *wireReport, epochs []uint64, stats *WorkerStats) (wireReportResp, error) {
-	_, _, _, _, attempts, _, httpc := w.defaults()
-	var acked wireReportResp
-	for try := 0; ; try++ {
-		report.Epoch = epochs[s]
-		payload, err := json.Marshal(report)
-		if err != nil {
-			return acked, err
-		}
-		code, body, err := w.postRetry(ctx, s, "/report", payload, stats)
-		if err != nil {
-			return acked, err
-		}
-		var rej wireStaleEpoch
-		if code == http.StatusConflict && json.Unmarshal(body, &rej) == nil && rej.Error == "stale epoch" {
-			if try+1 >= attempts {
-				return acked, fmt.Errorf("shard worker: shard %d /report kept hitting stale epochs after %d resyncs", s, try+1)
-			}
-			stats.Resyncs++
-			if st, err := icserver.FetchStatus(ctx, httpc, w.shardURL(s)); err == nil && st.Epoch != 0 {
-				epochs[s] = st.Epoch
-			} else if rej.Epoch != 0 {
-				epochs[s] = rej.Epoch
-			} else if err := ctx.Err(); err != nil {
-				return acked, err
-			}
-			continue
-		}
-		if code != http.StatusOK {
-			return acked, fmt.Errorf("shard worker: shard %d /report returned %d: %s", s, code, body)
-		}
-		if err := json.Unmarshal(body, &acked); err != nil {
-			return acked, fmt.Errorf("shard worker: %w", err)
-		}
-		if acked.Epoch != 0 {
-			epochs[s] = acked.Epoch
-		}
-		return acked, nil
-	}
-}
-
-func (w *Worker) shardURL(s int) string {
-	return fmt.Sprintf("%s/shard/%d", w.BaseURL, s)
-}
-
-// postRetry POSTs to shard s, retrying transport errors and 5xx with
-// capped backoff; a shard that stays down past the budget comes back
-// as errShardDown so the caller can steal elsewhere and return later.
-func (w *Worker) postRetry(ctx context.Context, s int, path string, body []byte, stats *WorkerStats) (int, []byte, error) {
-	_, _, retryBase, retryMax, attempts, _, httpc := w.defaults()
-	wait := retryBase
-	var lastErr error
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			stats.Retries++
-			if err := sleepCtx(ctx, w.jitter(wait)); err != nil {
-				return 0, nil, err
-			}
-			if wait *= 2; wait > retryMax {
-				wait = retryMax
-			}
-		}
-		code, respBody, err := w.post(ctx, httpc, w.shardURL(s)+path, body)
-		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return 0, nil, ctx.Err()
-			}
-			lastErr = err
-		case code >= 500:
-			lastErr = fmt.Errorf("shard worker: shard %d %s returned %d: %s", s, path, code, respBody)
-		default:
-			return code, respBody, nil
-		}
-	}
-	return 0, nil, fmt.Errorf("%w: shard %d %s failed after %d attempts: %v", errShardDown, s, path, attempts, lastErr)
-}
-
-func (w *Worker) post(ctx context.Context, httpc *http.Client, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if w.ID != "" {
-		req.Header.Set("X-IC-Client", w.ID)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, data, nil
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	s, err := e.Run(ctx)
+	return WorkerStats{Completed: s.Completed, Failed: s.Failed, Batches: s.Batches, Steals: s.Steals,
+		IdlePolls: s.IdlePolls, Retries: s.Retries, Resyncs: s.Resyncs, Dropped: s.Dropped}, err
 }
