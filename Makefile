@@ -19,7 +19,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -bench=. -benchmem . ./internal/heur ./internal/icserver
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

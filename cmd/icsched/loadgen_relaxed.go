@@ -6,10 +6,11 @@ package main
 //
 // Unlike the HTTP cells of BENCH_throughput.json, the sweep drives the
 // server in process — client goroutines calling AllocateBatch /
-// ReportAllocate directly.  The relaxed core removes per-grant scheduler
-// work (the locked path re-sorts its offered pool on every completion);
-// through HTTP that difference drowns in JSON and TCP costs, in process
-// it is the thing being measured.  Every cell still checks the FNV
+// ReportAllocate directly.  The two cores differ by what a grant costs
+// inside the server (one lock hold and a bitset pop on the locked path;
+// lock-free pops between two lock holds on the relaxed one); through HTTP
+// that difference drowns in JSON and TCP costs, in process it is the
+// thing being measured.  Every cell still checks the FNV
 // ground truth bit for bit and reconstructs its realized eligibility
 // profile from the shared obs trace, so the frontier prices exactly what
 // the relaxation costs: the worst-step ratio of the realized profile
@@ -82,10 +83,9 @@ type relaxedSweepConfig struct {
 }
 
 // relaxedSweepFamily returns the sweep's dag: the d=8 FFT-convolution
-// butterfly (2304 nodes in 256-wide ranks).  The wide eligible frontier
-// is the regime the relaxation targets — the locked path re-sorts a pool
-// of up to 2^d tasks on every completion, while the relaxed core's push
-// and pop stay O(1) regardless of frontier width.
+// butterfly (2304 nodes in 256-wide ranks): a wide eligible frontier, so
+// many clients find work at once and the grant path, not the dag, bounds
+// the drain.  Push and pop are O(1) in the frontier width on both cores.
 func relaxedSweepFamily() loadgenFamily {
 	return loadgenFamily{"fftconv", 8, func(s int) (*dag.Dag, []dag.NodeID) {
 		return butterfly.Network(s), butterfly.Nonsinks(s)

@@ -13,6 +13,7 @@ package heur
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -31,7 +32,8 @@ type Policy interface {
 // Instance is the online state of a policy during one dag execution.
 type Instance interface {
 	// Offer makes nodes available for allocation (they just became
-	// ELIGIBLE).  Each node is offered exactly once.
+	// ELIGIBLE).  Each node is offered exactly once.  The instance must
+	// not retain the slice: callers reuse it for the next packet.
 	Offer(nodes []dag.NodeID)
 	// Next returns the next node to allocate and removes it from the
 	// available pool; ok is false when no offered node remains.
@@ -46,13 +48,14 @@ func RunOrder(g *dag.Dag, p Policy) ([]dag.NodeID, error) {
 	st := sched.NewState(g)
 	inst.Offer(st.Eligible())
 	order := make([]dag.NodeID, 0, g.NumNodes())
+	var packet []dag.NodeID
 	for !st.Done() {
 		v, ok := inst.Next()
 		if !ok {
 			return nil, fmt.Errorf("heur: policy %s stalled with %d nodes left", p.Name(), g.NumNodes()-st.NumExecuted())
 		}
-		packet, err := st.Execute(v)
-		if err != nil {
+		var err error
+		if packet, err = st.ExecuteInto(v, packet[:0]); err != nil {
 			return nil, fmt.Errorf("heur: policy %s picked %d: %w", p.Name(), v, err)
 		}
 		inst.Offer(packet)
@@ -143,15 +146,7 @@ type maxOutPolicy struct{}
 func (maxOutPolicy) Name() string { return "MAX-OUTDEGREE" }
 
 func (maxOutPolicy) Start(g *dag.Dag) Instance {
-	return &scoredInstance{
-		better: func(a, b dag.NodeID) bool {
-			da, db := g.OutDegree(a), g.OutDegree(b)
-			if da != db {
-				return da > db
-			}
-			return a < b
-		},
-	}
+	return scoredPool(g, func(v dag.NodeID) int { return -g.OutDegree(v) })
 }
 
 // MinDepth allocates the shallowest available node first (breadth-first
@@ -173,18 +168,10 @@ func (p depthPolicy) Name() string {
 
 func (p depthPolicy) Start(g *dag.Dag) Instance {
 	depth := g.Depths()
-	return &scoredInstance{
-		better: func(a, b dag.NodeID) bool {
-			da, db := depth[a], depth[b]
-			if da != db {
-				if p.deepestFirst {
-					return da > db
-				}
-				return da < db
-			}
-			return a < b
-		},
+	if p.deepestFirst {
+		return scoredPool(g, func(v dag.NodeID) int { return -depth[v] })
 	}
+	return scoredPool(g, func(v dag.NodeID) int { return depth[v] })
 }
 
 // MaxHeight allocates the available node with the longest remaining path
@@ -200,15 +187,7 @@ func (heightPolicy) Name() string { return "MAX-HEIGHT" }
 
 func (heightPolicy) Start(g *dag.Dag) Instance {
 	height := g.Heights()
-	return &scoredInstance{
-		better: func(a, b dag.NodeID) bool {
-			ha, hb := height[a], height[b]
-			if ha != hb {
-				return ha > hb
-			}
-			return a < b
-		},
-	}
+	return scoredPool(g, func(v dag.NodeID) int { return -height[v] })
 }
 
 // MaxNewEligible greedily allocates the node whose execution would render
@@ -264,28 +243,23 @@ func (m *maxNewInstance) Next() (dag.NodeID, bool) {
 	return v, true
 }
 
-// scoredInstance keeps the pool sorted lazily by a fixed priority.
-type scoredInstance struct {
-	better func(a, b dag.NodeID) bool
-	pool   []dag.NodeID
-}
-
-func (s *scoredInstance) Offer(nodes []dag.NodeID) { s.pool = append(s.pool, nodes...) }
-
-func (s *scoredInstance) Next() (dag.NodeID, bool) {
-	if len(s.pool) == 0 {
-		return 0, false
+// scoredPool is the instance of a policy whose priority is a fixed score
+// per node (smaller first, ties by smaller ID): a total order known
+// before the run starts, so the nodes are sorted once, here, and the run
+// itself is a RankPool.
+func scoredPool(g *dag.Dag, score func(dag.NodeID) int) Instance {
+	order := make([]dag.NodeID, g.NumNodes())
+	for i := range order {
+		order[i] = dag.NodeID(i)
 	}
-	best := 0
-	for i := 1; i < len(s.pool); i++ {
-		if s.better(s.pool[i], s.pool[best]) {
-			best = i
+	sort.Slice(order, func(i, j int) bool {
+		si, sj := score(order[i]), score(order[j])
+		if si != sj {
+			return si < sj
 		}
-	}
-	v := s.pool[best]
-	s.pool[best] = s.pool[len(s.pool)-1]
-	s.pool = s.pool[:len(s.pool)-1]
-	return v, true
+		return order[i] < order[j]
+	})
+	return NewRankPool(len(order), order)
 }
 
 // Static replays a fixed schedule: Next returns the earliest not-yet-
@@ -315,34 +289,86 @@ func (p staticPolicy) Order() []dag.NodeID { return p.order }
 
 func (p staticPolicy) Name() string { return p.name }
 
-func (p staticPolicy) Start(g *dag.Dag) Instance {
-	rank := make([]int, g.NumNodes())
-	for i := range rank {
-		rank[i] = len(p.order) // unranked nodes go last
+func (p staticPolicy) Start(g *dag.Dag) Instance { return NewRankPool(g.NumNodes(), p.order) }
+
+// Ranks builds the rank tables of a fixed priority order over the nodes
+// 0..n-1: rank[v] is v's priority (lower is allocated earlier) and byRank
+// is its inverse.  The first occurrence of a node wins, out-of-range
+// entries are ignored, and nodes the order does not list rank after every
+// listed one, by ID — so any order, complete or not, yields one total
+// priority, the same for every grant core built from it.
+func Ranks(n int, order []dag.NodeID) (rank []int32, byRank []dag.NodeID) {
+	rank = make([]int32, n)
+	byRank = make([]dag.NodeID, 0, n)
+	for v := range rank {
+		rank[v] = -1
 	}
-	for i, v := range p.order {
-		rank[v] = i
+	for _, v := range order {
+		if int(v) < 0 || int(v) >= n || rank[v] >= 0 {
+			continue
+		}
+		rank[v] = int32(len(byRank))
+		byRank = append(byRank, v)
 	}
-	return &staticInstance{rank: rank}
+	for v := range rank {
+		if rank[v] < 0 {
+			rank[v] = int32(len(byRank))
+			byRank = append(byRank, dag.NodeID(v))
+		}
+	}
+	return rank, byRank
 }
 
-type staticInstance struct {
-	rank []int
-	pool []dag.NodeID
+// RankPool is the instance of every policy whose priority is a fixed
+// total order: the offered-and-unallocated set as a bitset over ranks.
+// Offer sets one bit per node and Next clears the lowest set bit, so the
+// cost of a grant does not depend on how many nodes are waiting.
+type RankPool struct {
+	rank   []int32
+	byRank []dag.NodeID
+	ready  []uint64 // bit r set: byRank[r] is offered and not yet allocated
+	low    int      // ready[:low] holds no set bit
 }
 
-func (s *staticInstance) Offer(nodes []dag.NodeID) {
-	s.pool = append(s.pool, nodes...)
-	sort.Slice(s.pool, func(i, j int) bool { return s.rank[s.pool[i]] < s.rank[s.pool[j]] })
+// NewRankPool returns an empty pool over the nodes 0..n-1 prioritized by
+// order (see Ranks).
+func NewRankPool(n int, order []dag.NodeID) *RankPool {
+	rank, byRank := Ranks(n, order)
+	return &RankPool{rank: rank, byRank: byRank, ready: make([]uint64, (n+63)/64)}
 }
 
-func (s *staticInstance) Next() (dag.NodeID, bool) {
-	if len(s.pool) == 0 {
+// Offer marks the nodes available: O(len(nodes)), whatever the pool holds.
+func (p *RankPool) Offer(nodes []dag.NodeID) {
+	for _, v := range nodes {
+		r := uint(p.rank[v])
+		w := int(r >> 6)
+		p.ready[w] |= 1 << (r & 63)
+		if w < p.low {
+			p.low = w
+		}
+	}
+}
+
+// Peek returns the best (lowest) rank currently offered.  The low-water
+// hint only moves back when Offer sets a bit below it, so a run that
+// offers in roughly rank order scans each word once.
+func (p *RankPool) Peek() (rank int, ok bool) {
+	for ; p.low < len(p.ready); p.low++ {
+		if word := p.ready[p.low]; word != 0 {
+			return p.low<<6 + bits.TrailingZeros64(word), true
+		}
+	}
+	return 0, false
+}
+
+// Next allocates the best-ranked offered node.
+func (p *RankPool) Next() (dag.NodeID, bool) {
+	r, ok := p.Peek()
+	if !ok {
 		return 0, false
 	}
-	v := s.pool[0]
-	s.pool = s.pool[1:]
-	return v, true
+	p.ready[r>>6] &^= 1 << (uint(r) & 63)
+	return p.byRank[r], true
 }
 
 // Standard returns the comparison suite used throughout the experiments:

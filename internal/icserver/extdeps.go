@@ -36,15 +36,23 @@ import (
 // parent.
 func WithExternalDeps(need map[dag.NodeID]int) Option {
 	return func(s *Server) {
-		s.extNeed = make(map[dag.NodeID]int, len(need))
-		for v, n := range need {
-			if n > 0 {
-				s.extNeed[v] = n
+		n := s.g.NumNodes()
+		s.extNeed = make([]int32, n)
+		for v, k := range need {
+			if k > 0 && int(v) >= 0 && int(v) < n {
+				s.extNeed[v] = int32(k)
 			}
 		}
-		s.extHeld = make(map[dag.NodeID]bool)
-		s.extCredited = make(map[dag.NodeID]map[int64]bool)
+		s.extHeld = newNodeSet(n)
+		s.extCredited = make(map[extCredit]bool)
 	}
+}
+
+// extCredit identifies one delivered credit: task v heard that its
+// external parent from completed.
+type extCredit struct {
+	v    dag.NodeID
+	from int64
 }
 
 // extFilterLocked applies the external-dependency gate to an offer
@@ -52,7 +60,7 @@ func WithExternalDeps(need map[dag.NodeID]int) Option {
 // move to the held set; the rest pass through.  Without external deps
 // the packet is returned untouched.
 func (s *Server) extFilterLocked(packet []dag.NodeID) []dag.NodeID {
-	if s.extNeed == nil || len(s.extNeed) == 0 || len(packet) == 0 {
+	if s.extNeed == nil {
 		return packet
 	}
 	pass := packet
@@ -63,7 +71,7 @@ func (s *Server) extFilterLocked(packet []dag.NodeID) []dag.NodeID {
 				pass = append([]dag.NodeID(nil), packet[:i]...)
 				filtered = true
 			}
-			s.extHeld[v] = true
+			s.extHeld.add(v)
 		} else if filtered {
 			pass = append(pass, v)
 		}
@@ -89,24 +97,15 @@ func (s *Server) Credit(v dag.NodeID, from int64) (applied bool, err error) {
 	if err := s.unavailableLocked(); err != nil {
 		return false, err
 	}
-	set := s.extCredited[v]
-	if set == nil {
-		set = make(map[int64]bool, 1)
-		s.extCredited[v] = set
-	}
-	if set[from] {
+	if s.extCredited[extCredit{v, from}] {
 		return false, nil
 	}
-	set[from] = true
+	s.extCredited[extCredit{v, from}] = true
 	if s.extNeed[v] > 0 {
 		s.extNeed[v]--
-		if s.extNeed[v] == 0 {
-			delete(s.extNeed, v)
-			if s.extHeld[v] {
-				delete(s.extHeld, v)
-				s.offerLocked([]dag.NodeID{v})
-				s.syncGaugesLocked()
-			}
+		if s.extNeed[v] == 0 && s.extHeld.remove(v) {
+			s.offerLocked([]dag.NodeID{v})
+			s.syncGaugesLocked()
 		}
 	}
 	return true, nil

@@ -175,6 +175,29 @@ func TestMetricsAgreeWithStatus(t *testing.T) {
 	}
 }
 
+// TestLatencyHistogramsResolveMicroseconds pins the sub-50µs bounds of
+// the lock-hold and per-endpoint histograms: a lock hold on the grant
+// core is a few microseconds, below the old first bucket.
+func TestLatencyHistogramsResolveMicroseconds(t *testing.T) {
+	srv := icserver.New(mesh.OutMesh(4), optimalMeshPolicy(4))
+	if _, state := srv.AllocateBatch(2); state != icserver.AllocOK {
+		t.Fatalf("allocate state %d", state)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	m := scrapeMetrics(t, ts.URL)
+	for _, fam := range []string{"icserver_lock_hold_seconds_bucket{", `icserver_request_seconds_bucket{path="/report",`} {
+		for _, le := range []string{"1e-06", "2.5e-06", "5e-06", "1e-05", "2.5e-05", "5e-05"} {
+			if _, ok := m[fam+`le="`+le+`"}`]; !ok {
+				t.Errorf(`%sle="%s"} missing from /metrics`, fam, le)
+			}
+		}
+	}
+	if m["icserver_lock_hold_seconds_count"] != 1 {
+		t.Fatalf("lock-hold observations = %v, want 1", m["icserver_lock_hold_seconds_count"])
+	}
+}
+
 // TestServerTraceMatchesProfileOracle drives the server serially in
 // process (allocate, complete, repeat) and checks the trace-reconstructed
 // eligibility profile against sched.Profile for the allocation order —

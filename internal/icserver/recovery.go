@@ -56,31 +56,20 @@ func (s *Server) snapshotLocked() wal.Snapshot {
 	for v, a := range s.attempts {
 		snap.Attempts[v] = uint32(a)
 	}
-	for v := range s.quarantined {
-		snap.Quarantined = append(snap.Quarantined, int64(v))
-	}
-	sort.Slice(snap.Quarantined, func(i, j int) bool { return snap.Quarantined[i] < snap.Quarantined[j] })
-	seen := make(map[dag.NodeID]bool, len(s.returned))
+	snap.Quarantined = s.quarantined.appendTo(nil)
+	queued := newNodeSet(n)
 	for _, v := range s.returned {
-		if s.done[v] || s.quarantined[v] || seen[v] {
+		if s.st.IsExecuted(v) || s.quarantined.has(v) || !queued.add(v) {
 			continue // lazily-invalidated queue entries; skip like allocation does
 		}
-		seen[v] = true
 		snap.Returned = append(snap.Returned, int64(v))
 	}
-	inflight := make([]leaseEntry, 0, len(s.leases))
-	for v, t := range s.leases {
-		inflight = append(inflight, leaseEntry{v: v, granted: t})
-	}
-	sort.Slice(inflight, func(i, j int) bool {
-		if !inflight[i].granted.Equal(inflight[j].granted) {
-			return inflight[i].granted.Before(inflight[j].granted)
-		}
-		return inflight[i].v < inflight[j].v
+	// appendTo lists by ID, so a stable sort on the grant instant leaves
+	// equal instants in ID order.
+	snap.InFlight = s.leased.appendTo(make([]int64, 0, s.leased.len()))
+	sort.SliceStable(snap.InFlight, func(i, j int) bool {
+		return s.leaseAt[snap.InFlight[i]] < s.leaseAt[snap.InFlight[j]]
 	})
-	for _, e := range inflight {
-		snap.InFlight = append(snap.InFlight, int64(e.v))
-	}
 	return snap
 }
 
@@ -172,28 +161,20 @@ func (s *Server) restoreFold(fold *wal.Snapshot) error {
 		return fmt.Errorf("icserver: recovered executed set invalid: %w", err)
 	}
 	for v, a := range fold.Attempts {
-		if a > 0 {
-			s.attempts[dag.NodeID(v)] = int(a)
-		}
-	}
-	for v := 0; v < s.g.NumNodes(); v++ {
-		if s.st.IsExecuted(dag.NodeID(v)) {
-			s.done[dag.NodeID(v)] = true
-		}
+		s.attempts[v] = int32(a)
 	}
 	for _, v := range fold.Quarantined {
-		s.quarantined[dag.NodeID(v)] = true
+		s.quarantined.add(dag.NodeID(v))
 	}
 	// Requeue order: explicit hand-backs first (they were already queued
 	// pre-crash), then fenced in-flight grants in grant order.
-	queued := make(map[dag.NodeID]bool)
+	queued := newNodeSet(s.g.NumNodes())
 	requeue := func(list []int64) {
 		for _, raw := range list {
 			v := dag.NodeID(raw)
-			if s.done[v] || s.quarantined[v] || queued[v] {
+			if s.st.IsExecuted(v) || s.quarantined.has(v) || !queued.add(v) {
 				continue
 			}
-			queued[v] = true
 			s.returned = append(s.returned, v)
 		}
 	}
@@ -218,7 +199,7 @@ func (s *Server) restoreFold(fold *wal.Snapshot) error {
 		s.returned = nil
 		var elig []dag.NodeID
 		for _, v := range s.st.Eligible() {
-			if !s.quarantined[v] {
+			if !s.quarantined.has(v) {
 				elig = append(elig, v)
 			}
 		}
@@ -234,7 +215,7 @@ func (s *Server) restoreFold(fold *wal.Snapshot) error {
 	// before the coordinator re-credits is safe.
 	var offer []dag.NodeID
 	for _, v := range s.st.Eligible() {
-		if !queued[v] && !s.quarantined[v] {
+		if !queued.has(v) && !s.quarantined.has(v) {
 			offer = append(offer, v)
 		}
 	}

@@ -20,13 +20,11 @@ package icserver
 // (the chaos kill lane proves this end to end).
 
 import (
-	"container/heap"
+	"time"
 
 	"icsched/internal/dag"
 	"icsched/internal/heur"
 	"icsched/internal/relaxed"
-	"icsched/internal/wal"
-	"time"
 )
 
 // WithRelaxed routes allocation through a lock-free relaxed core with the
@@ -87,13 +85,11 @@ func (s *Server) relaxedAllocateBatch(k int, actor string) ([]dag.NodeID, AllocS
 		return nil, AllocEmpty
 	}
 	held := time.Now()
-	now := s.now()
-	if s.lease > 0 {
-		s.relaxedReclaimLocked(now)
-	}
+	now := s.nowLocked()
+	s.relaxedReclaimLocked(now)
 	batch := make([]dag.NodeID, 0, len(popped))
 	grant := func(v dag.NodeID) {
-		if s.done[v] || s.quarantined[v] {
+		if s.st.IsExecuted(v) || s.quarantined.has(v) {
 			return // cannot happen from core invariants; drop defensively
 		}
 		if s.attempts[v] > 0 {
@@ -133,26 +129,17 @@ func (s *Server) relaxedAllocateBatch(k int, actor string) ([]dag.NodeID, AllocS
 // relaxedReclaimLocked sweeps expired leases back into the core (or into
 // quarantine once attempts are exhausted) — the relaxed-path counterpart
 // of the expiry scan in allocateOneLocked (caller holds s.mu).
-func (s *Server) relaxedReclaimLocked(now time.Time) {
-	for s.expiry.Len() > 0 {
-		top := s.expiry[0]
-		granted, held := s.leases[top.v]
-		if !held || !granted.Equal(top.granted) {
-			heap.Pop(&s.expiry) // stale: completed, failed, or re-leased
+func (s *Server) relaxedReclaimLocked(now int64) {
+	for {
+		v, ok := s.popExpiredLocked(now)
+		if !ok {
+			return
+		}
+		if s.maxAttempts > 0 && int(s.attempts[v]) >= s.maxAttempts {
+			s.quarantineLocked(v, "server")
 			continue
 		}
-		if now.Sub(granted) < s.lease {
-			break
-		}
-		heap.Pop(&s.expiry)
-		s.m.leaseExpiries.Inc()
-		s.walAppendLocked(wal.KindExpiry, top.v, 0)
-		delete(s.leases, top.v)
-		if s.maxAttempts > 0 && s.attempts[top.v] >= s.maxAttempts {
-			s.quarantineLocked(top.v, "server")
-			continue
-		}
-		s.relax.Push(top.v)
+		s.relax.Push(v)
 	}
 }
 
@@ -165,7 +152,7 @@ func (s *Server) relaxedEmptyStateLocked() AllocState {
 		s.recordRunEndLocked()
 		return AllocFinished
 	}
-	if len(s.leases) == 0 && len(s.quarantined) > 0 && len(s.extHeld) == 0 &&
+	if s.leased.len() == 0 && s.quarantined.len() > 0 && s.extHeld.len() == 0 &&
 		s.relaxPending.Load() == 0 && s.relax.Empty() {
 		s.degraded = true
 		s.recordRunEndLocked()

@@ -77,12 +77,12 @@
 package icserver
 
 import (
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -114,12 +114,17 @@ type Server struct {
 	maxAttempts int
 	now         func() time.Time // injectable clock for tests
 	start       time.Time
-	leases      map[dag.NodeID]time.Time // task -> lease grant time
-	expiry      leaseHeap                // grant-time-ordered, lazily invalidated
-	attempts    map[dag.NodeID]int       // task -> times handed out
-	returned    []dag.NodeID             // tasks handed back via /failed, FIFO
-	quarantined map[dag.NodeID]bool
-	done        map[dag.NodeID]bool
+
+	// Per-task state, dense over dag.NodeID — the grant/ack path indexes,
+	// it never hashes.  "Done" is not here: it is st's executed set.
+	attempts    []int32      // times handed out
+	leased      nodeSet      // tasks out on a lease
+	leaseAt     []int64      // lease grant instant (ns since start); valid while leased
+	expiry      leaseHeap    // grant-time-ordered, lazily invalidated
+	returned    []dag.NodeID // tasks handed back via /failed, FIFO
+	quarantined nodeSet
+	seen        nodeSet      // reportLocked's twice-listed check; empty between reports
+	packet      []dag.NodeID // completeLocked's newly-ELIGIBLE scratch
 	stalls      int
 	reissues    int
 	failed      int // /failed reports accepted
@@ -164,9 +169,9 @@ type Server struct {
 	// back in extHeld when the scheduler offers it, and released by
 	// Credit; extCredited makes credit delivery idempotent per
 	// (task, source) pair.
-	extNeed     map[dag.NodeID]int
-	extHeld     map[dag.NodeID]bool
-	extCredited map[dag.NodeID]map[int64]bool
+	extNeed     []int32 // outstanding external parents per task
+	extHeld     nodeSet
+	extCredited map[extCredit]bool
 
 	// completionHook, when set, observes every first-time completion
 	// (after it is journaled) — the composition point the sharded
@@ -213,8 +218,10 @@ type serverMetrics struct {
 	lockHold                    *obs.Histogram // scheduler-lock hold time per allocation request
 }
 
-// latencyBuckets spans local-loop HTTP handler times, 50µs to ~1s.
+// latencyBuckets spans scheduler-lock holds (microseconds on the locked
+// grant core) up to local-loop HTTP handler times, 1µs to ~1s.
 var latencyBuckets = []float64{
+	.000001, .0000025, .000005, .00001, .000025,
 	.00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1,
 }
 
@@ -322,6 +329,7 @@ func WithCompletionHook(h func(dag.NodeID)) Option {
 // options, metrics, clock — but no policy offer, no trace events, and
 // no journal.
 func newCore(g *dag.Dag, policy heur.Policy, opts ...Option) *Server {
+	n := g.NumNodes()
 	s := &Server{
 		g:           g,
 		st:          sched.NewState(g),
@@ -330,10 +338,11 @@ func newCore(g *dag.Dag, policy heur.Policy, opts ...Option) *Server {
 		maxAttempts: 5,
 		now:         time.Now,
 		epoch:       1,
-		leases:      make(map[dag.NodeID]time.Time),
-		attempts:    make(map[dag.NodeID]int),
-		quarantined: make(map[dag.NodeID]bool),
-		done:        make(map[dag.NodeID]bool),
+		attempts:    make([]int32, n),
+		leased:      newNodeSet(n),
+		leaseAt:     make([]int64, n),
+		quarantined: newNodeSet(n),
+		seen:        newNodeSet(n),
 		reg:         obs.NewRegistry(),
 	}
 	for _, o := range opts {
@@ -862,8 +871,10 @@ func (s *Server) allocateBatch(k int, actor string) ([]dag.NodeID, AllocState) {
 // whole batch, counts a stall only on a zero grant, then syncs gauges and
 // observes grants-per-request once (caller holds s.mu).
 func (s *Server) allocateBatchLocked(k int, actor string) ([]dag.NodeID, AllocState) {
-	now := s.now()
-	var batch []dag.NodeID
+	now := s.nowLocked()
+	// Everything grantable is ELIGIBLE, so the grant is one allocation
+	// however large the ask.
+	batch := make([]dag.NodeID, 0, max(0, min(k, s.st.NumEligible())))
 	state := AllocOK
 	for len(batch) < k {
 		v, st := s.allocateOneLocked(now, actor)
@@ -890,47 +901,34 @@ func (s *Server) allocateBatchLocked(k int, actor string) ([]dag.NodeID, AllocSt
 // allocateOneLocked picks the next task to grant (caller holds s.mu and
 // passes one clock reading for the whole request).  It neither syncs
 // gauges nor counts stalls — the per-request wrappers do both once.
-func (s *Server) allocateOneLocked(now time.Time, actor string) (dag.NodeID, AllocState) {
+func (s *Server) allocateOneLocked(now int64, actor string) (dag.NodeID, AllocState) {
 	if s.st.Done() {
 		s.recordRunEndLocked()
 		return 0, AllocFinished
 	}
-	// Reissue expired leases in expiry order.  Heap entries are lazily
-	// invalidated: an entry is live only while the lease map still holds
-	// the grant time it was pushed with.
-	if s.lease > 0 {
-		for s.expiry.Len() > 0 {
-			top := s.expiry[0]
-			granted, held := s.leases[top.v]
-			if !held || !granted.Equal(top.granted) {
-				heap.Pop(&s.expiry) // stale: completed, failed, or re-leased
-				continue
-			}
-			if now.Sub(granted) < s.lease {
-				break // earliest lease not yet expired
-			}
-			heap.Pop(&s.expiry)
-			s.m.leaseExpiries.Inc()
-			s.walAppendLocked(wal.KindExpiry, top.v, 0)
-			if s.maxAttempts > 0 && s.attempts[top.v] >= s.maxAttempts {
-				delete(s.leases, top.v)
-				s.quarantineLocked(top.v, "server")
-				continue
-			}
-			s.reissues++
-			s.m.reissues.Inc()
-			s.grantLocked(top.v, now, actor)
-			return top.v, AllocOK
+	// Reissue expired leases in expiry order.
+	for {
+		v, ok := s.popExpiredLocked(now)
+		if !ok {
+			break
 		}
+		if s.maxAttempts > 0 && int(s.attempts[v]) >= s.maxAttempts {
+			s.quarantineLocked(v, "server")
+			continue
+		}
+		s.reissues++
+		s.m.reissues.Inc()
+		s.grantLocked(v, now, actor)
+		return v, AllocOK
 	}
 	// Tasks handed back via /failed go out before new policy picks.
 	for len(s.returned) > 0 {
 		v := s.returned[0]
 		s.returned = s.returned[1:]
-		if s.done[v] || s.quarantined[v] {
+		if s.st.IsExecuted(v) || s.quarantined.has(v) {
 			continue
 		}
-		if _, held := s.leases[v]; held {
+		if s.leased.has(v) {
 			continue // duplicate hand-back; already re-leased
 		}
 		s.reissues++
@@ -940,7 +938,7 @@ func (s *Server) allocateOneLocked(now time.Time, actor string) (dag.NodeID, All
 	}
 	v, ok := s.inst.Next()
 	if !ok {
-		if len(s.leases) == 0 && len(s.quarantined) > 0 && len(s.extHeld) == 0 {
+		if s.leased.len() == 0 && s.quarantined.len() > 0 && s.extHeld.len() == 0 {
 			// Nothing in flight and nothing allocatable: every remaining
 			// task is quarantined or blocked behind one.  Terminal.
 			// (A task held behind a cross-shard credit is progress another
@@ -955,14 +953,46 @@ func (s *Server) allocateOneLocked(now time.Time, actor string) (dag.NodeID, All
 	return v, AllocOK
 }
 
+// popExpiredLocked ends the lease that expired earliest, if any has,
+// journaling the expiry, and returns its task for the caller to re-lease
+// or retire (caller holds s.mu).  Heap entries are lazily invalidated: an
+// entry is live only while its task is still leased at the instant the
+// entry was pushed with.
+func (s *Server) popExpiredLocked(now int64) (dag.NodeID, bool) {
+	if s.lease <= 0 {
+		return 0, false
+	}
+	for len(s.expiry) > 0 {
+		top := s.expiry[0]
+		if !s.leased.has(top.v) || s.leaseAt[top.v] != top.at {
+			s.expiry.pop() // stale: completed, failed, or re-leased
+			continue
+		}
+		if now-top.at < int64(s.lease) {
+			break // earliest lease not yet expired
+		}
+		s.expiry.pop()
+		s.leased.remove(top.v)
+		s.m.leaseExpiries.Inc()
+		s.walAppendLocked(wal.KindExpiry, top.v, 0)
+		return top.v, true
+	}
+	return 0, false
+}
+
+// nowLocked reads the clock once for a whole request, as nanoseconds
+// since the server started (caller holds s.mu).
+func (s *Server) nowLocked() int64 { return int64(s.now().Sub(s.start)) }
+
 // grantLocked records a lease grant (caller holds s.mu).  One heap push,
 // no gauge sync: the per-request wrappers reconcile gauges once per
 // request, not once per grant.
-func (s *Server) grantLocked(v dag.NodeID, now time.Time, actor string) {
+func (s *Server) grantLocked(v dag.NodeID, now int64, actor string) {
 	s.attempts[v]++
-	s.leases[v] = now
+	s.leased.add(v)
+	s.leaseAt[v] = now
 	if s.lease > 0 {
-		heap.Push(&s.expiry, leaseEntry{v: v, granted: now})
+		s.expiry.push(leaseEntry{at: now, v: v})
 	}
 	if s.cursorInst != nil && s.attempts[v] == 1 {
 		// First-time grants under replay came from the cursor policy in
@@ -975,7 +1005,7 @@ func (s *Server) grantLocked(v dag.NodeID, now time.Time, actor string) {
 	s.m.allocations.Inc()
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseAllocate, Task: int(v), Name: s.g.Name(v),
-			Actor: actor, Attempt: s.attempts[v], Eligible: s.st.NumEligible()})
+			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
 	}
 }
 
@@ -997,12 +1027,12 @@ func (s *Server) flushCursorLocked() {
 // quarantineLocked moves v into the quarantined set (caller holds s.mu
 // and has already removed any lease).
 func (s *Server) quarantineLocked(v dag.NodeID, actor string) {
-	s.quarantined[v] = true
+	s.quarantined.add(v)
 	s.walAppendLocked(wal.KindQuarantine, v, 0)
 	s.m.quarantines.Inc()
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseQuarantine, Task: int(v), Name: s.g.Name(v),
-			Actor: actor, Attempt: s.attempts[v], Eligible: s.st.NumEligible()})
+			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
 	}
 }
 
@@ -1027,21 +1057,20 @@ func (s *Server) completeLocked(v dag.NodeID, actor string) (int, error) {
 	if int(v) < 0 || int(v) >= s.g.NumNodes() {
 		return 0, fmt.Errorf("icserver: task %d out of range", v)
 	}
-	if s.done[v] {
+	if s.st.IsExecuted(v) {
 		s.m.duplicateDone.Inc()
 		return 0, nil // idempotent
 	}
 	if s.attempts[v] == 0 {
 		return 0, fmt.Errorf("icserver: task %s was never allocated", s.g.Name(v))
 	}
-	packet, err := s.st.Execute(v)
+	packet, err := s.st.ExecuteInto(v, s.packet[:0])
 	if err != nil {
 		return 0, fmt.Errorf("icserver: %w", err)
 	}
-	s.done[v] = true
-	delete(s.leases, v)
-	if s.quarantined[v] {
-		delete(s.quarantined, v) // a late result rescues a quarantined task
+	s.packet = packet
+	s.leased.remove(v)
+	if s.quarantined.remove(v) { // a late result rescues a quarantined task
 		s.m.rescues.Inc()
 	}
 	s.walAppendLocked(wal.KindDone, v, 0)
@@ -1052,7 +1081,7 @@ func (s *Server) completeLocked(v dag.NodeID, actor string) (int, error) {
 	}
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseDone, Task: int(v), Name: s.g.Name(v),
-			Actor: actor, Attempt: s.attempts[v], Eligible: s.st.NumEligible()})
+			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
 	}
 	if s.st.Done() {
 		s.recordRunEndLocked()
@@ -1073,7 +1102,7 @@ func (s *Server) failLocked(v dag.NodeID, actor string) (requeued, quarantined b
 	if int(v) < 0 || int(v) >= s.g.NumNodes() {
 		return false, false, fmt.Errorf("icserver: task %d out of range", v)
 	}
-	if s.done[v] {
+	if s.st.IsExecuted(v) {
 		return false, false, nil // completed elsewhere; nothing to do
 	}
 	if s.attempts[v] == 0 {
@@ -1081,12 +1110,12 @@ func (s *Server) failLocked(v dag.NodeID, actor string) (requeued, quarantined b
 	}
 	s.failed++
 	s.m.failed.Inc()
-	delete(s.leases, v)
+	s.leased.remove(v)
 	s.walAppendLocked(wal.KindFailed, v, 0)
-	if s.quarantined[v] {
+	if s.quarantined.has(v) {
 		return false, true, nil
 	}
-	if s.maxAttempts > 0 && s.attempts[v] >= s.maxAttempts {
+	if s.maxAttempts > 0 && int(s.attempts[v]) >= s.maxAttempts {
 		s.quarantineLocked(v, actor)
 		return false, true, nil
 	}
@@ -1097,7 +1126,7 @@ func (s *Server) failLocked(v dag.NodeID, actor string) (requeued, quarantined b
 	}
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseRetry, Task: int(v), Name: s.g.Name(v),
-			Actor: actor, Attempt: s.attempts[v], Eligible: s.st.NumEligible()})
+			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
 	}
 	return true, false, nil
 }
@@ -1164,28 +1193,46 @@ func (s *Server) reportAllocate(done, failed []dag.NodeID, k int, actor string) 
 	return rep, batch, state, nil
 }
 
-func (s *Server) reportLocked(done, failed []dag.NodeID, actor string) (BatchReport, error) {
-	seen := make(map[dag.NodeID]bool, len(done)+len(failed))
-	for _, list := range [2][]dag.NodeID{done, failed} {
-		for _, v := range list {
-			if int(v) < 0 || int(v) >= s.g.NumNodes() {
-				return BatchReport{}, fmt.Errorf("icserver: task %d out of range (batch rejected)", v)
-			}
-			if seen[v] {
-				return BatchReport{}, fmt.Errorf("%w: task %s", errDuplicateAck, s.g.Name(v))
-			}
-			seen[v] = true
-			if !s.done[v] && s.attempts[v] == 0 {
-				return BatchReport{}, fmt.Errorf("icserver: task %s was never allocated (batch rejected)", s.g.Name(v))
+// validateReportLocked checks a report batch in full before anything is
+// applied: every task in range, listed once across both lists, and
+// allocated at least once or already done (caller holds s.mu).
+func (s *Server) validateReportLocked(done, failed []dag.NodeID) error {
+	lists := [2][]dag.NodeID{done, failed}
+	defer func() { // leave s.seen empty for the next report
+		for _, list := range lists {
+			for _, v := range list {
+				if int(v) >= 0 && int(v) < s.g.NumNodes() {
+					s.seen.remove(v)
+				}
 			}
 		}
+	}()
+	for _, list := range lists {
+		for _, v := range list {
+			if int(v) < 0 || int(v) >= s.g.NumNodes() {
+				return fmt.Errorf("icserver: task %d out of range (batch rejected)", v)
+			}
+			if !s.seen.add(v) {
+				return fmt.Errorf("%w: task %s", errDuplicateAck, s.g.Name(v))
+			}
+			if !s.st.IsExecuted(v) && s.attempts[v] == 0 {
+				return fmt.Errorf("icserver: task %s was never allocated (batch rejected)", s.g.Name(v))
+			}
+		}
+	}
+	return nil
+}
+
+func (s *Server) reportLocked(done, failed []dag.NodeID, actor string) (BatchReport, error) {
+	if err := s.validateReportLocked(done, failed); err != nil {
+		return BatchReport{}, err
 	}
 	// Validation passed: every task is allocated or already done, so the
 	// locked cores below cannot fail (an allocated task's parents are all
 	// executed — it was ELIGIBLE when granted).
 	var rep BatchReport
 	for _, v := range done {
-		if s.done[v] {
+		if s.st.IsExecuted(v) {
 			s.m.duplicateDone.Inc()
 			rep.Duplicates++
 			continue
@@ -1216,8 +1263,8 @@ func (s *Server) reportLocked(done, failed []dag.NodeID, actor string) (BatchRep
 // /metrics in lockstep with Status() (caller holds s.mu).
 func (s *Server) syncGaugesLocked() {
 	s.m.eligible.Set(float64(s.st.NumEligible()))
-	s.m.leases.Set(float64(len(s.leases)))
-	s.m.quarantined.Set(float64(len(s.quarantined)))
+	s.m.leases.Set(float64(s.leased.len()))
+	s.m.quarantined.Set(float64(s.quarantined.len()))
 	s.m.completed.Set(float64(s.st.NumExecuted()))
 	s.m.epoch.Set(float64(s.epoch))
 }
@@ -1233,7 +1280,7 @@ func (s *Server) recordRunEndLocked() {
 	ev := obs.Event{Phase: obs.PhaseRunEnd, Task: -1, Actor: "server",
 		Eligible: s.st.NumEligible()}
 	if s.degraded {
-		ev.Err = fmt.Sprintf("degraded: %d tasks quarantined", len(s.quarantined))
+		ev.Err = fmt.Sprintf("degraded: %d tasks quarantined", s.quarantined.len())
 	}
 	s.trace.Record(ev)
 }
@@ -1288,7 +1335,7 @@ func (s *Server) awaitDrain(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		s.mu.Lock()
-		n := len(s.leases)
+		n := s.leased.len()
 		s.mu.Unlock()
 		if n == 0 {
 			return nil
@@ -1325,11 +1372,11 @@ func (s *Server) Status() Status {
 		Total:        s.g.NumNodes(),
 		Completed:    s.st.NumExecuted(),
 		Eligible:     s.st.NumEligible(),
-		Allocated:    len(s.leases),
+		Allocated:    s.leased.len(),
 		Stalls:       s.stalls,
 		Reissues:     s.reissues,
 		Failed:       s.failed,
-		Quarantined:  len(s.quarantined),
+		Quarantined:  s.quarantined.len(),
 		Epoch:        s.epoch,
 		StaleReports: s.staleReports,
 	}
@@ -1349,7 +1396,7 @@ func (s *Server) Completed(v dag.NodeID) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.done[v]
+	return s.st.IsExecuted(v)
 }
 
 // Finished reports whether the execution is terminal: every task
@@ -1364,18 +1411,93 @@ func (s *Server) Finished() bool {
 }
 
 // leaseEntry is one grant in the expiry heap; it is live only while the
-// lease map still records the same grant time for the task.
+// task is still leased at the same grant instant.
 type leaseEntry struct {
-	v       dag.NodeID
-	granted time.Time
+	at int64 // grant instant, ns since server start
+	v  dag.NodeID
 }
 
-// leaseHeap is a min-heap of lease grants ordered by grant time (with a
-// fixed lease duration, grant order is expiry order).
+// leaseHeap is a min-heap of lease grants ordered by grant instant (with
+// a fixed lease duration, grant order is expiry order).  It is
+// container/heap's algorithm on a concrete element type: pushing boxes
+// nothing, and equal instants leave the heap in the same order.
 type leaseHeap []leaseEntry
 
-func (h leaseHeap) Len() int           { return len(h) }
-func (h leaseHeap) Less(i, j int) bool { return h[i].granted.Before(h[j].granted) }
-func (h leaseHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *leaseHeap) Push(x any)        { *h = append(*h, x.(leaseEntry)) }
-func (h *leaseHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h *leaseHeap) push(e leaseEntry) {
+	*h = append(*h, e)
+	a := *h
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if a[j].at >= a[i].at {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+// pop removes the earliest entry, (*h)[0].
+func (h *leaseHeap) pop() {
+	a := *h
+	n := len(a) - 1
+	a[0] = a[n]
+	*h = a[:n]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && a[r].at < a[j].at {
+			j = r
+		}
+		if a[j].at >= a[i].at {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+}
+
+// nodeSet is a set of tasks as a bitset over dag.NodeID with its size
+// maintained, so membership, insertion, removal and len are all O(1)
+// with no hashing and no allocation.
+type nodeSet struct {
+	bits []uint64
+	n    int
+}
+
+func newNodeSet(nodes int) nodeSet { return nodeSet{bits: make([]uint64, (nodes+63)/64)} }
+
+func (s *nodeSet) len() int { return s.n }
+
+func (s *nodeSet) has(v dag.NodeID) bool { return s.bits[v>>6]&(1<<uint(v&63)) != 0 }
+
+// add inserts v, reporting whether it was absent.
+func (s *nodeSet) add(v dag.NodeID) bool {
+	if s.has(v) {
+		return false
+	}
+	s.bits[v>>6] |= 1 << uint(v&63)
+	s.n++
+	return true
+}
+
+// remove deletes v, reporting whether it was present.
+func (s *nodeSet) remove(v dag.NodeID) bool {
+	if !s.has(v) {
+		return false
+	}
+	s.bits[v>>6] &^= 1 << uint(v&63)
+	s.n--
+	return true
+}
+
+// appendTo appends the members to buf in increasing ID order.
+func (s *nodeSet) appendTo(buf []int64) []int64 {
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, int64(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return buf
+}

@@ -414,22 +414,22 @@ func TestWeightedFairShare(t *testing.T) {
 		h.submit(Spec{Tenant: "heavy", Weight: 2, Dag: flat})
 		h.submit(Spec{Tenant: "light", Weight: 1, Dag: flat})
 	}
-	// Wait until both tenants have active work so the counted prefix is
-	// contended from the first grant.
+	// Wait until all six jobs are active so the counted prefix is
+	// contended from the first grant to the last: 120 grants at 2:1 take
+	// 80 tasks from heavy, more than one of its jobs holds, and the grant
+	// loop can outrun the analyzer that activates the next one.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		sum := s.ServiceStatus()
 		active := 0
 		for _, ts := range sum.Tenants {
-			if ts.ActiveJobs > 0 {
-				active++
-			}
+			active += ts.ActiveJobs
 		}
-		if active == 2 {
+		if active == 6 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("tenants never both active")
+			t.Fatal("the six jobs never all became active")
 		}
 		time.Sleep(time.Millisecond)
 	}

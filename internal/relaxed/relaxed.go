@@ -2,10 +2,11 @@
 // core in the MultiQueue style of "Relaxed Schedulers Can Efficiently
 // Parallelize Iterative Algorithms" (arXiv:1808.04155).
 //
-// The exact ELIGIBLE-prefix scheduler serializes every grant on one mutex:
-// each completion re-sorts the offered pool and each allocation pops the
-// globally best-ranked eligible task.  The relaxed core removes that
-// serialization at a bounded, measurable cost in priority fidelity:
+// The exact ELIGIBLE-prefix scheduler serializes every grant on one mutex
+// and always pops the globally best-ranked eligible task (heur.RankPool:
+// the same rank bitset as a shard here, without the atomics).  The relaxed
+// core removes that serialization at a bounded, measurable cost in
+// priority fidelity:
 //
 //   - The priority order (an IC-optimal schedule, or any fixed rank) is
 //     frozen at construction.  Tasks are identified by their rank so each
@@ -38,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"icsched/internal/dag"
+	"icsched/internal/heur"
 )
 
 // MaxShards bounds the shard count; beyond the point where every client
@@ -59,8 +61,8 @@ type Core struct {
 }
 
 // New builds a core for g with the given priority order (earlier = better;
-// nodes absent from the order rank after all listed ones, by id) split
-// over max(1, shards) shards.  The seed only perturbs shard sampling, not
+// heur.Ranks makes it total, exactly as the locked path does) split over
+// max(1, shards) shards.  The seed only perturbs shard sampling, not
 // shard assignment, so the realized set of grants is seed-independent.
 func New(g *dag.Dag, order []dag.NodeID, shards int, seed int64) *Core {
 	n := g.NumNodes()
@@ -70,33 +72,15 @@ func New(g *dag.Dag, order []dag.NodeID, shards int, seed int64) *Core {
 	if shards > MaxShards {
 		shards = MaxShards
 	}
+	rank, node := heur.Ranks(n, order)
 	c := &Core{
 		n:       n,
 		nshards: shards,
 		words:   (n + 63) / 64,
-		rank:    make([]int32, n),
-		node:    make([]dag.NodeID, n),
+		rank:    rank,
+		node:    node,
 		shard:   make([]int32, n),
 		seed:    splitmix64(uint64(seed) + 0x9e3779b97f4a7c15),
-	}
-	for v := range c.rank {
-		c.rank[v] = -1
-	}
-	r := int32(0)
-	for _, v := range order {
-		if int(v) < 0 || int(v) >= n || c.rank[v] >= 0 {
-			continue // out of range or duplicate: ignore, ranked below
-		}
-		c.rank[v] = r
-		c.node[r] = v
-		r++
-	}
-	for v := 0; v < n; v++ { // unlisted nodes go last, by id
-		if c.rank[v] < 0 {
-			c.rank[v] = r
-			c.node[r] = dag.NodeID(v)
-			r++
-		}
 	}
 	for v := 0; v < n; v++ {
 		c.shard[v] = int32(splitmix64(uint64(v)+1) % uint64(shards))

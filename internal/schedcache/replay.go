@@ -8,11 +8,10 @@ import (
 )
 
 // Replay returns the periodic steady-state replay policy for a cached
-// order: grants are served strictly in order positions, so each grant
-// is an O(1) index translation — a ready-bit probe at the cursor — with
-// no pool search and no sort on the offer path (heur.Static re-sorts
-// its pool on every Offer; this policy is the memcpy-speed variant for
-// recurring instances of one shape).
+// order: the same rank-bitset pool as heur.Static, under a stricter
+// rule — grants are served in order positions only, so a grant happens
+// only when the best offered rank is exactly the cursor, and a later
+// position that is ready early waits its turn.
 //
 // Strict in-order granting is what makes the WAL cursor encoding
 // sound: the set of first-time grants is always exactly order[0:c], so
@@ -39,41 +38,24 @@ func (p replayPolicy) Start(g *dag.Dag) heur.Instance {
 	if len(p.order) != n {
 		panic(fmt.Sprintf("schedcache: replay order has %d entries for a %d-node dag", len(p.order), n))
 	}
-	inst := &replayInstance{
-		order: p.order,
-		rank:  make([]int32, n),
-		ready: make([]uint64, (n+63)/64),
-	}
-	for i, v := range p.order {
-		inst.rank[v] = int32(i)
-	}
-	return inst
+	return &replayInstance{RankPool: heur.NewRankPool(n, p.order), n: n}
 }
 
 type replayInstance struct {
-	order  []dag.NodeID
-	rank   []int32  // node id -> position in order
-	ready  []uint64 // bitset indexed by position: offered, not yet granted
-	cursor int      // number of first-time grants issued so far
-}
-
-func (r *replayInstance) Offer(nodes []dag.NodeID) {
-	for _, v := range nodes {
-		p := r.rank[v]
-		r.ready[p>>6] |= 1 << (uint(p) & 63)
-	}
+	*heur.RankPool
+	n      int
+	cursor int // number of first-time grants issued so far
 }
 
 // Next grants order[cursor] iff it has been offered (its parents are
 // executed); otherwise it declines, even if later positions are ready —
 // the strict prefix discipline the cursor journal depends on.
 func (r *replayInstance) Next() (dag.NodeID, bool) {
-	if r.cursor >= len(r.order) || r.ready[r.cursor>>6]&(1<<(uint(r.cursor)&63)) == 0 {
+	if rank, ok := r.Peek(); !ok || rank != r.cursor {
 		return 0, false
 	}
-	v := r.order[r.cursor]
 	r.cursor++
-	return v, true
+	return r.RankPool.Next()
 }
 
 // Cursor reports how many first-time grants have been issued; the
@@ -85,8 +67,8 @@ func (r *replayInstance) Cursor() int { return r.cursor }
 // re-grants, if any, flow through the server's returned queue, never
 // through this instance).
 func (r *replayInstance) SeekCursor(c int) {
-	if c < 0 || c > len(r.order) {
-		panic(fmt.Sprintf("schedcache: seek cursor %d outside order of %d", c, len(r.order)))
+	if c < 0 || c > r.n {
+		panic(fmt.Sprintf("schedcache: seek cursor %d outside order of %d", c, r.n))
 	}
 	r.cursor = c
 }
