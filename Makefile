@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench cover fuzz figures experiments clean
+.PHONY: all build vet test race bench cover fuzz figures experiments clean chaos grantcore
 
 all: build vet test
 
@@ -28,6 +28,15 @@ cover:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/dagio/
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalJSON -fuzztime=10s ./internal/dagio/
+
+# CI lanes: ci.yml runs exactly these targets, so `make chaos grantcore`
+# is what CI runs for them.
+chaos:
+	.github/scripts/run-matching.sh -race 'Chaos|Churn|ServerKill|Recover|EpochBump' ./...
+	$(GO) run ./cmd/icsched chaos -trace chaos_trace.json -kills 3
+
+grantcore:
+	.github/scripts/run-matching.sh -race 'Relaxed|Shard|Prop' ./internal/relaxed/
 
 figures:
 	$(GO) run ./cmd/icsched figures figures/

@@ -24,7 +24,6 @@ func cmdChaos(args []string) error {
 	traceOut := fs.String("trace", "", "write the task trace to this file (.json for chrome://tracing, .jsonl for raw events)")
 	batch := fs.Int("batch", 0, "use the batched protocol with this per-grant cap (0 = legacy protocol)")
 	kills := fs.Int("kills", 0, "additionally run the server-kill lane: SIGKILL/journal-restart the server this many times mid-run on a 32×32 wavefront")
-	relaxedShards := fs.Int("relaxed", 0, "run the server-kill lane through the lock-free k-relaxed core with this shard count; each kill is armed to land between shard-pop and journal-append (0 = exact locked path)")
 	shardKills := fs.Int("shardkill", 0, "additionally run the sharded-coordinator lane: kill/recover individual shards this many times mid-run on a 32×32 wavefront cut across -shards servers")
 	shardCount := fs.Int("shards", 4, "shard count for the -shardkill lane")
 	if err := fs.Parse(args); err != nil {
@@ -39,7 +38,7 @@ func cmdChaos(args []string) error {
 		}
 		seed = s
 	}
-	cfg := chaos.Config{Seed: seed, Batch: *batch, Relaxed: *relaxedShards}
+	cfg := chaos.Config{Seed: seed, Batch: *batch}
 	var tr *obs.Trace
 	if *traceOut != "" {
 		tr = obs.NewTrace()
@@ -58,9 +57,6 @@ func cmdChaos(args []string) error {
 	}
 	if *kills > 0 {
 		fmt.Printf("server-kill lane: %d SIGKILL/journal-restart cycles on a 32x32 wavefront\n", *kills)
-		if *relaxedShards > 0 {
-			fmt.Printf("grant path: relaxed core, %d shards; kills armed between shard-pop and journal-append\n", *relaxedShards)
-		}
 		rep, err := chaos.ServerKill(cfg, 32, *kills)
 		if err != nil {
 			return err

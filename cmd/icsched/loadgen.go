@@ -310,7 +310,6 @@ func cmdLoadgen(args []string) error {
 	smoke := fs.Bool("smoke", false, "CI smoke sizes (one batched cap, smaller fftconv/prefix)")
 	minSpeedup := fs.Float64("minspeedup", 0, "fail unless wavefront batched ≥ this × single-task tasks/sec (0 = off)")
 	stream := fs.Bool("stream", false, "Poisson job-arrival stream mode through the multi-tenant job service")
-	relaxedMode := fs.Bool("relaxed", false, "relaxation sweep mode: in-process quality/throughput frontier of the lock-free k-relaxed core vs the locked path, written to BENCH_relaxed.json")
 	zipfMode := fs.Bool("zipf", false, "schedule-cache mode: Zipf-distributed raw-payload job mix through the cached job service, written to BENCH_cache.json")
 	shardMode := fs.Bool("shards", false, "sharded-coordinator mode: journaled single server vs K-shard coordinator on one large wavefront, written to BENCH_shard.json")
 	zipfJobs := fs.Int("zipfjobs", 0, "zipf mode: total jobs (default 240; smoke 80)")
@@ -389,34 +388,6 @@ func cmdLoadgen(args []string) error {
 		}
 		return err
 	}
-	if *relaxedMode {
-		if *out == "" {
-			*out = "BENCH_relaxed.json"
-		}
-		sweep := relaxedSweepConfig{
-			clients:    []int{4, *clients},
-			ks:         []int{0, 1, 2, 4, 8, 16},
-			batch:      8,
-			smoke:      *smoke,
-			minSpeedup: *minSpeedup,
-		}
-		if *clients <= 4 {
-			sweep.clients = []int{*clients}
-		}
-		if *smoke {
-			sweep.clients = []int{*clients}
-			sweep.ks = []int{0, 1, 4, 16}
-		}
-		doc, err := runRelaxedSweep(sweep)
-		// Write whatever was measured even when the frontier guard failed,
-		// so CI can upload the artifact for diagnosis.
-		if len(doc.Results) > 0 {
-			if werr := writeRelaxed(doc, *out); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		return err
-	}
 	if *out == "" {
 		*out = "BENCH_throughput.json"
 	}
@@ -461,26 +432,6 @@ func writeLoadgen(doc loadgenFile, out string) error {
 	}
 	if out != "-" {
 		fmt.Printf("wrote %s (%d cells, %d clients)\n", out, len(doc.Results), doc.Clients)
-	}
-	return nil
-}
-
-func writeRelaxed(doc relaxedFile, out string) error {
-	if err := benchjson.Write(out, doc, "gomaxprocs", "note", "speedup",
-		"lockedTasksPerSec", "relaxedTasksPerSec", "results"); err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %6s %8s %8s %6s %10s %12s %10s %10s\n",
-		"FAMILY", "NODES", "CLIENTS", "RELAXED", "BATCH", "WALL-MS", "TASKS/SEC", "WSR", "GAP")
-	for _, r := range doc.Results {
-		fmt.Printf("%-10s %6d %8d %8d %6d %10.1f %12.0f %10.4f %10.4f\n",
-			r.Family, r.Nodes, r.Clients, r.Relaxed, r.Batch, r.WallMillis,
-			r.TasksPerSec, r.WorstStepRatio, r.QualityGap)
-	}
-	fmt.Printf("k=1 bit-identical: %v; frontier at max clients: relaxed %.0f vs locked %.0f tasks/s (%.2fx)\n",
-		doc.K1BitIdentical, doc.RelaxedTasksPerSec, doc.LockedTasksPerSec, doc.Speedup)
-	if out != "-" {
-		fmt.Printf("wrote %s (%d cells)\n", out, len(doc.Results))
 	}
 	return nil
 }

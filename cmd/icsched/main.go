@@ -102,7 +102,7 @@ commands:
   difftest [-seed S] [-n N]   differential test: exec vs icsim vs icserver + theorem properties
   bench [flags] [family...]   run families through the executor, write BENCH_*.json
   loadgen [flags]             HTTP throughput benchmark: single vs batched protocol, write BENCH_throughput.json
-                              (-stream BENCH_stream.json, -relaxed BENCH_relaxed.json, -zipf schedule-cache BENCH_cache.json,
+                              (-stream BENCH_stream.json, -zipf schedule-cache BENCH_cache.json,
                                -shards sharded-coordinator BENCH_shard.json)
   experiments                 regenerate the EXPERIMENTS.md tables`)
 }

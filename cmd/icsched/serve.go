@@ -20,17 +20,16 @@ import (
 
 // cmdServe runs the Internet-computing task server for a family on the
 // given address, allocating in IC-optimal order.  Clients follow the
-// protocol in internal/icserver (POST /task, POST /done, POST /failed,
-// GET /status, GET /healthz, GET /metrics).  -pprof additionally mounts
-// net/http/pprof under /debug/pprof/ for live profiling.  On
-// SIGINT/SIGTERM the server drains: /task refuses new work while
-// in-flight leases get up to one lease period to report, then the
-// listener shuts down.
+// protocol in internal/icserver (POST /tasks, POST /report — /task,
+// /done and /failed are their k=1 forms — GET /status, GET /healthz,
+// GET /metrics).  -pprof additionally mounts net/http/pprof under
+// /debug/pprof/ for live profiling.  On SIGINT/SIGTERM the server
+// drains: grants are refused while in-flight leases get up to one lease
+// period to report, then the listener shuts down.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	withPprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	walDir := fs.String("wal", "", "crash-safe mode: journal every state change to this directory and resume from it on restart")
-	relaxedShards := fs.Int("relaxed", 0, "grant through the lock-free k-relaxed core with this shard count (0 = exact locked path; 1 is bit-identical to it)")
 	numShards := fs.Int("shards", 0, "cut the dag into this many shard servers behind one coordinator (0/1 = single server); workers address shard i under /shard/<i>/")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,16 +50,12 @@ func cmdServe(args []string) error {
 	lease := time.Minute
 	order := sched.Complete(g, nonsinks)
 	if *numShards > 1 {
-		return serveSharded(g, order, f.name, size, addr, *numShards, *walDir, *relaxedShards, *withPprof, lease)
-	}
-	opts := []icserver.Option{icserver.WithLease(lease)}
-	if *relaxedShards > 0 {
-		opts = append(opts, icserver.WithRelaxed(*relaxedShards))
+		return serveSharded(g, order, f.name, size, addr, *numShards, *walDir, *withPprof, lease)
 	}
 	var srv *icserver.Server
 	if *walDir != "" {
 		srv, err = icserver.Recover(*walDir, g, heur.Static("IC-OPTIMAL", order),
-			wal.Options{}, opts...)
+			wal.Options{}, icserver.WithLease(lease))
 		if err != nil {
 			return err
 		}
@@ -68,10 +63,7 @@ func cmdServe(args []string) error {
 		fmt.Printf("journal: %s (epoch %d, resuming at %d/%d tasks)\n",
 			*walDir, st.Epoch, st.Completed, st.Total)
 	} else {
-		srv = icserver.New(g, heur.Static("IC-OPTIMAL", order), opts...)
-	}
-	if *relaxedShards > 0 {
-		fmt.Printf("grant path: lock-free relaxed core, %d shards\n", *relaxedShards)
+		srv = icserver.New(g, heur.Static("IC-OPTIMAL", order), icserver.WithLease(lease))
 	}
 	fmt.Printf("serving %s (size %d, %d tasks) on %s\n", f.name, size, g.NumNodes(), addr)
 	fmt.Println("protocol: POST /tasks {\"k\": n} | POST /report {\"done\": [ids], \"failed\": [ids], \"k\": n} | GET /status | GET /healthz | GET /metrics")

@@ -21,7 +21,7 @@ import (
 // cross-shard arcs forwarded (and, with -wal, journaled) by the bus.
 // The coordinator-level GET /status, /healthz and /metrics aggregate
 // all shards.
-func serveSharded(g *dag.Dag, order []dag.NodeID, family string, size int, addr string, k int, walDir string, relaxed int, withPprof bool, lease time.Duration) error {
+func serveSharded(g *dag.Dag, order []dag.NodeID, family string, size int, addr string, k int, walDir string, withPprof bool, lease time.Duration) error {
 	// Schedule-guided cut over the global IC-optimal order: contiguous
 	// chunks keep the cut forward-only and the eligibility frontier
 	// spread across shards.
@@ -29,7 +29,7 @@ func serveSharded(g *dag.Dag, order []dag.NodeID, family string, size int, addr 
 	if err != nil {
 		return err
 	}
-	cfg := shard.Config{Dir: walDir, Lease: lease, Relaxed: relaxed}
+	cfg := shard.Config{Dir: walDir, Lease: lease}
 	coord, err := shard.New(g, order, p, cfg)
 	if err != nil {
 		return err

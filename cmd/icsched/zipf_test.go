@@ -7,7 +7,7 @@ import (
 // TestRunZipfSmoke runs the schedule-cache benchmark at a tiny job
 // count: every job must finish bit-identical to its shape's serial
 // reference (runZipf's own check), the Zipf mix must actually hit the
-// cache, and every non-relaxed exact job must run in replay mode.
+// cache, and every exact job must run in replay mode.
 func TestRunZipfSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark run")

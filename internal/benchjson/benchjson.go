@@ -1,6 +1,6 @@
 // Package benchjson is the one writer for the repo's checked-in
 // BENCH_*.json artifacts.  Every benchmark path (loadgen, stream,
-// zipf, relaxed, shard, exec) used to hand-roll the same
+// zipf, shard, exec) used to hand-roll the same
 // marshal-indent-append-newline-write sequence; this package folds
 // them together and adds the schema check CI re-implements in shell:
 // a BENCH file is a single JSON object whose required top-level keys

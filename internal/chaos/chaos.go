@@ -64,12 +64,6 @@ type Config struct {
 	// (allocations, completions, hand-backs, quarantines) in the shared
 	// obs schema, for post-mortem inspection in chrome://tracing.
 	Trace *obs.Trace
-	// Relaxed routes the server-kill lane's grants through the lock-free
-	// k-relaxed core with this shard count (0 = exact locked path).  With
-	// it set, every scheduled kill is armed on the pop hook so the crash
-	// lands in the window between the lock-free shard claim and the
-	// journal append — the hardest spot for recovery.
-	Relaxed int
 }
 
 // clientSeed derives the jitter seed for one client incarnation from the

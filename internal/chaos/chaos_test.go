@@ -97,32 +97,6 @@ func TestServerKillRecovery(t *testing.T) {
 	}
 }
 
-// TestServerKillRelaxed reruns the kill lane with the lock-free relaxed
-// grant core.  Every kill is armed on the pop hook, so the crash lands in
-// the window between the lock-free shard claim and the journal append:
-// the claimed-but-unjournaled task must be re-derived as eligible by
-// recovery, and the audit still demands exactly one done record per task
-// with bit-identical FNV values.
-func TestServerKillRelaxed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos run in -short mode")
-	}
-	rep, err := chaos.ServerKill(chaos.Config{Seed: 19, Batch: 8, Relaxed: 4}, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(rep)
-	if rep.Kills != 2 {
-		t.Errorf("fired %d of 2 scheduled kills", rep.Kills)
-	}
-	if rep.Completed != rep.Tasks {
-		t.Errorf("completed %d of %d tasks", rep.Completed, rep.Tasks)
-	}
-	if rep.Quarantined != 0 {
-		t.Errorf("quarantined %d tasks", rep.Quarantined)
-	}
-}
-
 // TestServerKillBatchedProtocol reruns the kill lane over the batched
 // wire protocol: a restart can now orphan whole multi-task grants at
 // once, and the /report that tries to ack them must survive the

@@ -116,37 +116,11 @@ func ServerKill(cfg Config, size, kills int) (Report, error) {
 		return srv
 	}
 
-	// With the relaxed core, kills are armed on the pop hook: the next
-	// lock-free shard claim kills the incarnation before its grant reaches
-	// the journal, so recovery must re-derive the popped task as eligible.
-	var (
-		armed atomic.Int32
-		fmu   sync.Mutex
-		fired chan struct{}
-	)
-	popHook := func(dag.NodeID) {
-		if armed.CompareAndSwap(1, 0) {
-			current().Kill() // dies mid-window: claimed, never journaled
-			fmu.Lock()
-			if fired != nil {
-				close(fired)
-				fired = nil
-			}
-			fmu.Unlock()
-		}
-	}
 	newServer := func() (*icserver.Server, error) {
-		opts := []icserver.Option{
+		return icserver.Recover(dir, g, heur.Static("IC-OPTIMAL", order), wopts,
 			icserver.WithLease(cfg.Lease),
 			icserver.WithMaxAttempts(cfg.MaxAttempts),
-			icserver.WithTrace(tr),
-		}
-		if cfg.Relaxed > 0 {
-			opts = append(opts,
-				icserver.WithRelaxed(cfg.Relaxed),
-				icserver.WithRelaxedPopHook(popHook))
-		}
-		return icserver.Recover(dir, g, heur.Static("IC-OPTIMAL", order), wopts, opts...)
+			icserver.WithTrace(tr))
 	}
 	srv, err = newServer()
 	if err != nil {
@@ -196,32 +170,8 @@ func ServerKill(cfg Config, size, kills int) (Report, error) {
 				}
 				time.Sleep(200 * time.Microsecond)
 			}
-			if cfg.Relaxed > 0 {
-				// Arm the mid-window trigger and wait for a pop to trip it.
-				ch := make(chan struct{})
-				fmu.Lock()
-				fired = ch
-				fmu.Unlock()
-				armed.Store(1)
-				select {
-				case <-ch:
-				case <-time.After(2 * time.Second):
-					// Endgame with nothing left to pop: disarm and kill
-					// directly — unless the hook won the race, then wait.
-					if armed.CompareAndSwap(1, 0) {
-						current().Kill()
-					} else {
-						<-ch
-					}
-				case <-ctx.Done():
-					killErr <- ctx.Err()
-					return
-				}
-				handler.Store(down)
-			} else {
-				handler.Store(down)
-				current().Kill()
-			}
+			handler.Store(down)
+			current().Kill()
 			next, err := newServer()
 			if err != nil {
 				killErr <- fmt.Errorf("chaos: recovery after kill %d: %w", killedCount.Load()+1, err)

@@ -156,7 +156,6 @@ type Report struct {
 	PrioDuality  int // Theorem 2.3 Holds == DualHolds
 	Monotonicity int // inequality (2.1) vs sum-dag profiles
 	Linearity    int // Theorem 2.1 on ▷-linear compositions
-	Relaxed      int // k-relaxed core vs exact scheduler (see relaxed.go)
 	Cache        int // schedule cache: warm/cold bit-identity, iso-twin hit, near-miss miss (see cache.go)
 	Shard        int // sharded coordinator recombination bit-identity (see shard.go)
 	Failures     []Failure
@@ -181,8 +180,8 @@ func (r Report) String() string {
 			b.WriteString(")")
 		}
 	}
-	fmt.Fprintf(&b, "\nproperties: oracle %d, duality %d, prio-duality %d, monotonicity %d, linearity %d, relaxed %d, cache %d, shard %d",
-		r.Oracle, r.Duality, r.PrioDuality, r.Monotonicity, r.Linearity, r.Relaxed, r.Cache, r.Shard)
+	fmt.Fprintf(&b, "\nproperties: oracle %d, duality %d, prio-duality %d, monotonicity %d, linearity %d, cache %d, shard %d",
+		r.Oracle, r.Duality, r.PrioDuality, r.Monotonicity, r.Linearity, r.Cache, r.Shard)
 	fmt.Fprintf(&b, "\nfailures: %d", len(r.Failures))
 	for _, f := range r.Failures {
 		fmt.Fprintf(&b, "\n  instance %d (%s, %d nodes): %s", f.Index, f.Shape, f.Nodes, f.Err)
@@ -278,17 +277,6 @@ func checkInstance(rng *rand.Rand, inst instance, cfg Config, rep *Report, scr *
 	if err := checkServerBatched(g, order, ref, rng); err != nil {
 		return fmt.Errorf("icserver(batched): %w", err)
 	}
-
-	// Relaxed differential lane: k-relaxed core and relaxed(k) server vs
-	// the exact scheduler, with the k=1 bit-identity anchor.
-	var maxE []int
-	if lat != nil {
-		maxE = lat.MaxE()
-	}
-	if err := checkRelaxed(g, order, want, maxE, ref, rng); err != nil {
-		return fmt.Errorf("relaxed: %w", err)
-	}
-	rep.Relaxed++
 
 	// Schedule-cache differential lane: cold/warm bit-identity, replay
 	// drive, isomorphic-twin translation, near-miss guard.
@@ -562,14 +550,7 @@ func checkServer(g *dag.Dag, order []dag.NodeID, want []int) error {
 // the first pass's trace profile must match sched.Profile of its
 // realized order.
 func checkServerBatched(g *dag.Dag, order []dag.NodeID, ref []uint64, rng *rand.Rand) error {
-	return checkServerBatchedWith(g, order, ref, rng)
-}
-
-// checkServerBatchedWith is checkServerBatched with extra server options —
-// the relaxed lane reuses the whole model-replica prediction machinery
-// with WithRelaxed(1) to prove server-level bit-identity.
-func checkServerBatchedWith(g *dag.Dag, order []dag.NodeID, ref []uint64, rng *rand.Rand, opts ...icserver.Option) error {
-	realized, tr, err := driveBatched(g, order, ref, func() int { return 1 + rng.Intn(4) }, opts...)
+	realized, tr, err := driveBatched(g, order, ref, func() int { return 1 + rng.Intn(4) })
 	if err != nil {
 		return err
 	}
@@ -587,7 +568,7 @@ func checkServerBatchedWith(g *dag.Dag, order []dag.NodeID, ref []uint64, rng *r
 	if !equalInts(prof, want) {
 		return fmt.Errorf("trace profile %v, model profile of realized order %v", prof, want)
 	}
-	serial, _, err := driveBatched(g, order, ref, func() int { return 1 }, opts...)
+	serial, _, err := driveBatched(g, order, ref, func() int { return 1 })
 	if err != nil {
 		return fmt.Errorf("k=1 pass: %w", err)
 	}
@@ -603,10 +584,9 @@ func checkServerBatchedWith(g *dag.Dag, order []dag.NodeID, ref []uint64, rng *r
 // is verified against the model replica, the FNV values are computed, and
 // the drive repeats until the piggybacked grant reports AllocFinished.
 // It returns the realized allocation order and the server trace.
-func driveBatched(g *dag.Dag, order []dag.NodeID, ref []uint64, nextK func() int, opts ...icserver.Option) ([]dag.NodeID, *obs.Trace, error) {
+func driveBatched(g *dag.Dag, order []dag.NodeID, ref []uint64, nextK func() int) ([]dag.NodeID, *obs.Trace, error) {
 	tr := obs.NewTrace()
-	srv := icserver.New(g, heur.Static("difftest", order),
-		append([]icserver.Option{icserver.WithLease(0), icserver.WithTrace(tr)}, opts...)...)
+	srv := icserver.New(g, heur.Static("difftest", order), icserver.WithLease(0), icserver.WithTrace(tr))
 	model := heur.Static("difftest", order).Start(g)
 	st := sched.NewState(g)
 	model.Offer(st.Eligible())

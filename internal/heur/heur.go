@@ -270,10 +270,9 @@ func Static(name string, order []dag.NodeID) Policy {
 }
 
 // Ordered is implemented by policies whose entire allocation priority is
-// a fixed schedule known before the run starts (Static).  Consumers that
-// need the full rank up front — e.g. the relaxed lock-free grant core,
-// which freezes priorities at construction — type-assert for it and fall
-// back to a topological order otherwise.
+// a fixed schedule known before the run starts (Static).  Recovery of a
+// cursor-journaled server type-asserts for it: a cursor record names a
+// prefix of this order, so the journal folds against it.
 type Ordered interface {
 	// Order returns the fixed allocation order (earlier = higher priority).
 	// The returned slice must not be mutated.

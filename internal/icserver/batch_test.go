@@ -389,62 +389,57 @@ func runMixedFleet(t *testing.T, levels int) (legacy, batched int) {
 // once per request, and after a /tasks batch grant the scraped values
 // must reflect the whole batch (leases = batch size, eligible shrunk by
 // the grant), with grants_per_request recording one sample of size k —
-// and one of size ≤ 1 per /task, which is /tasks at k=1 — on both cores.
+// and one of size ≤ 1 per /task, which is /tasks at k=1.
 func TestGaugesAfterBatchGrant(t *testing.T) {
-	for name, opts := range map[string][]icserver.Option{
-		"locked":  nil,
-		"relaxed": {icserver.WithRelaxed(2)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			const leaves = 6
-			b := dag.NewBuilder(1 + leaves)
-			for i := 1; i <= leaves; i++ {
-				b.AddArc(0, dag.NodeID(i))
-			}
-			srv := icserver.New(b.MustBuild(), heur.FIFO(), append(opts, icserver.WithLease(time.Minute))...)
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
+	t.Run("locked", func(t *testing.T) {
+		const leaves = 6
+		b := dag.NewBuilder(1 + leaves)
+		for i := 1; i <= leaves; i++ {
+			b.AddArc(0, dag.NodeID(i))
+		}
+		srv := icserver.New(b.MustBuild(), heur.FIFO(), icserver.WithLease(time.Minute))
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
 
-			if code, body := postJSON(t, ts.URL+"/report", `{"done":[]}`); code != http.StatusOK {
-				t.Fatalf("empty report returned %d: %s", code, body)
+		if code, body := postJSON(t, ts.URL+"/report", `{"done":[]}`); code != http.StatusOK {
+			t.Fatalf("empty report returned %d: %s", code, body)
+		}
+		if _, got := grantTasks(t, ts.URL, 1); len(got) != 1 {
+			t.Fatalf("source grant %v", got)
+		}
+		// Only the source is eligible and it is leased: /task grants nothing.
+		if code, body := postJSON(t, ts.URL+"/task", ``); code != http.StatusNoContent {
+			t.Fatalf("/task on an empty frontier returned %d: %s", code, body)
+		}
+		if code, _ := postJSON(t, ts.URL+"/report", `{"done":[0]}`); code != http.StatusOK {
+			t.Fatal("report source")
+		}
+		// All six leaves eligible; one request grants four, /task a fifth.
+		if _, got := grantTasks(t, ts.URL, 4); len(got) != 4 {
+			t.Fatalf("batch grant %v, want 4 tasks", got)
+		}
+		if code, body := postJSON(t, ts.URL+"/task", ``); code != http.StatusOK {
+			t.Fatalf("/task returned %d: %s", code, body)
+		}
+		m := scrapeMetrics(t, ts.URL)
+		checks := map[string]float64{
+			"icserver_leases": 5,
+			// ELIGIBLE is the §2.2 measure over *executed* parents: leasing
+			// a task does not shrink it, so all six leaves still count.
+			"icserver_eligible":                              6,
+			"icserver_completed":                             1,
+			"icserver_grants_per_request_count":              4, // k=1 grant + empty /task + k=4 grant + /task
+			"icserver_grants_per_request_sum":                6,
+			`icserver_request_seconds_count{path="/task"}`:   2,
+			`icserver_request_seconds_count{path="/tasks"}`:  2,
+			`icserver_request_seconds_count{path="/report"}`: 2,
+		}
+		for name, want := range checks {
+			if got := m[name]; got != want {
+				t.Fatalf("%s = %v, want %v\nscrape: %v", name, got, want, m)
 			}
-			if _, got := grantTasks(t, ts.URL, 1); len(got) != 1 {
-				t.Fatalf("source grant %v", got)
-			}
-			// Only the source is eligible and it is leased: /task grants nothing.
-			if code, body := postJSON(t, ts.URL+"/task", ``); code != http.StatusNoContent {
-				t.Fatalf("/task on an empty frontier returned %d: %s", code, body)
-			}
-			if code, _ := postJSON(t, ts.URL+"/report", `{"done":[0]}`); code != http.StatusOK {
-				t.Fatal("report source")
-			}
-			// All six leaves eligible; one request grants four, /task a fifth.
-			if _, got := grantTasks(t, ts.URL, 4); len(got) != 4 {
-				t.Fatalf("batch grant %v, want 4 tasks", got)
-			}
-			if code, body := postJSON(t, ts.URL+"/task", ``); code != http.StatusOK {
-				t.Fatalf("/task returned %d: %s", code, body)
-			}
-			m := scrapeMetrics(t, ts.URL)
-			checks := map[string]float64{
-				"icserver_leases": 5,
-				// ELIGIBLE is the §2.2 measure over *executed* parents: leasing
-				// a task does not shrink it, so all six leaves still count.
-				"icserver_eligible":                              6,
-				"icserver_completed":                             1,
-				"icserver_grants_per_request_count":              4, // k=1 grant + empty /task + k=4 grant + /task
-				"icserver_grants_per_request_sum":                6,
-				`icserver_request_seconds_count{path="/task"}`:   2,
-				`icserver_request_seconds_count{path="/tasks"}`:  2,
-				`icserver_request_seconds_count{path="/report"}`: 2,
-			}
-			for name, want := range checks {
-				if got := m[name]; got != want {
-					t.Fatalf("%s = %v, want %v\nscrape: %v", name, got, want, m)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestBatchSingleClockRead pins the other wart fix: one batch request

@@ -19,9 +19,9 @@ import (
 // idempotent per (task, source) pair so the forwarding bus can re-
 // deliver after a crash without double-counting).
 //
-// The gate sits in offerLocked, below BOTH grant engines — the exact
-// policy instance and the lock-free relaxed core — so every shard
-// configuration composes with it.  Recovery needs no extra journal
+// The gate sits in offerLocked, the one place tasks reach the policy
+// instance, so every shard configuration composes with it.  Recovery
+// needs no extra journal
 // state: a task that was ever granted had all external parents
 // executed (they were credited before it passed the gate), and those
 // completions are durable on their own shards, so requeued in-flight
@@ -77,6 +77,13 @@ func (s *Server) extFilterLocked(packet []dag.NodeID) []dag.NodeID {
 		}
 	}
 	return pass
+}
+
+// offerLocked hands newly allocatable tasks to the policy instance,
+// holding back those with outstanding cross-shard credits (caller holds
+// s.mu).
+func (s *Server) offerLocked(packet []dag.NodeID) {
+	s.inst.Offer(s.extFilterLocked(packet))
 }
 
 // Credit delivers one external-parent completion for task v; from

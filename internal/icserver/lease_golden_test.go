@@ -1,6 +1,7 @@
 package icserver_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"icsched/internal/dag"
 	"icsched/internal/heur"
 	"icsched/internal/icserver"
+	"icsched/internal/mesh"
+	"icsched/internal/sched"
 	"icsched/internal/wal"
 )
 
@@ -253,5 +256,119 @@ func TestRecoverJournalWrittenBeforeDenseState(t *testing.T) {
 	drainServer(t, srv)
 	if st := srv.Status(); st.Completed != 10 || st.Reissues != 5 {
 		t.Fatalf("final status %+v", st)
+	}
+}
+
+// fnvValue hashes v's ID with its parents' values (FNV-1a): any execution
+// that respects the dependencies computes the same value for every node.
+func fnvValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ x&0xff) * 1099511628211
+			x >>= 8
+		}
+	}
+	mix(uint64(v))
+	for _, p := range g.Parents(v) {
+		mix(vals[p])
+	}
+	return h
+}
+
+// TestRecoverJournalWrittenByRelaxedCore recovers
+// testdata/pr14-relaxed-journal (see its README): a WithRelaxed(4) server
+// of the parent commit, killed with 12 of 36 wavefront tasks done, grants
+// out of rank order, two tasks in flight and one handed back.  The
+// journal holds ordinary per-task grant/done records, so the locked path
+// must recover it, finish, and compute the serial reference's values.
+func TestRecoverJournalWrittenByRelaxedCore(t *testing.T) {
+	dir := t.TempDir()
+	const segment = "wal-0000000000000001.log"
+	data, err := os.ReadFile(filepath.Join("testdata/pr14-relaxed-journal", segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segment), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := mesh.Grid(6, 6)
+	order := sched.Complete(g, mesh.GridDiagonalNonsinks(6, 6))
+	n := g.NumNodes()
+	want := make([]uint64, n)
+	rank := make([]int, n)
+	for r, v := range order {
+		want[v] = fnvValue(g, v, want)
+		rank[v] = r
+	}
+
+	// What the dead incarnation left: its completions' values, and proof
+	// that this really is a journal no locked server would have written.
+	vals := make([]uint64, n)
+	before, err := wal.ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doneOrder []dag.NodeID
+	inversions, lastRank := 0, -1
+	for _, r := range before.Records {
+		switch r.Kind {
+		case wal.KindGrant:
+			if rank[r.Task] < lastRank {
+				inversions++
+			}
+			lastRank = rank[r.Task]
+		case wal.KindDone:
+			v := dag.NodeID(r.Task)
+			vals[v] = fnvValue(g, v, vals)
+			doneOrder = append(doneOrder, v)
+		}
+	}
+	if len(doneOrder) != 12 || inversions == 0 {
+		t.Fatalf("testdata: %d done, %d rank inversions among grants; want 12 and > 0", len(doneOrder), inversions)
+	}
+
+	srv, err := icserver.Recover(dir, g, heur.Static("IC-OPTIMAL", order), wal.Options{}, icserver.WithLease(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Status(); st.Completed != 12 || st.Epoch != 2 || st.Failed != 1 {
+		t.Fatalf("recovered status %+v, want 12 completed, epoch 2, 1 failed", st)
+	}
+	// The hand-back first, then the fenced in-flight grants in grant order.
+	batch, _ := srv.AllocateBatch(3)
+	if fmt.Sprint(batch) != "[19 9 24]" {
+		t.Fatalf("post-recovery grant %v, want [19 9 24]", batch)
+	}
+	for len(batch) > 0 {
+		for _, v := range batch {
+			vals[v] = fnvValue(g, v, vals)
+		}
+		if _, batch, _, err = srv.ReportAllocate(batch, nil, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Status(); st.Completed != n || st.Quarantined != 0 || !srv.Finished() {
+		t.Fatalf("final status %+v", st)
+	}
+	for v := range want {
+		if vals[v] != want[v] {
+			t.Fatalf("task %d computed %#x, want %#x", v, vals[v], want[v])
+		}
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	after, err := wal.ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range after.Records[len(before.Records):] {
+		if r.Kind == wal.KindDone {
+			doneOrder = append(doneOrder, dag.NodeID(r.Task))
+		}
+	}
+	if err := sched.NewState(g).Replay(doneOrder); err != nil || len(doneOrder) != n {
+		t.Fatalf("journal done-order (%d tasks) is not a legal schedule: %v", len(doneOrder), err)
 	}
 }

@@ -188,24 +188,6 @@ func (s *Server) restoreFold(fold *wal.Snapshot) error {
 		s.cursorInst.SeekCursor(int(fold.Cursor))
 		s.lastCursor = fold.Cursor
 	}
-	if s.relax != nil {
-		// The relaxed core has no requeue lane: every unfinished ELIGIBLE
-		// task — never granted, handed back, or fenced in flight — goes
-		// back into the core and competes by rank again.  This also
-		// absorbs pops the dead incarnation never journaled: they are
-		// plain eligible tasks here.  offerLocked applies the
-		// external-dependency gate, so cross-shard tasks wait for the
-		// coordinator to re-deliver their credits.
-		s.returned = nil
-		var elig []dag.NodeID
-		for _, v := range s.st.Eligible() {
-			if !s.quarantined.has(v) {
-				elig = append(elig, v)
-			}
-		}
-		s.offerLocked(elig)
-		return nil
-	}
 	// The policy pool gets exactly the never-granted ELIGIBLE tasks: the
 	// granted-but-unfinished ones live in the requeue (as on the live
 	// server, where the policy emitted them already).  Requeued tasks

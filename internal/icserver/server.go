@@ -85,13 +85,11 @@ import (
 	"math/bits"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"icsched/internal/dag"
 	"icsched/internal/heur"
 	"icsched/internal/obs"
-	"icsched/internal/relaxed"
 	"icsched/internal/sched"
 	"icsched/internal/wal"
 )
@@ -142,16 +140,6 @@ type Server struct {
 	killed       bool  // Kill happened: refuse all mutating requests
 	shutdownDone chan struct{}
 	shutdownErr  error
-
-	// Relaxed grant path (nil relax = exact locked scheduler).  See
-	// relaxed.go: pops happen outside s.mu, everything durable stays
-	// under it.  relaxPending counts tasks claimed from the core but not
-	// yet granted or pushed back, so the terminal check cannot mistake an
-	// in-window pop for a lost task.
-	relax        *relaxed.Core
-	relaxShards  int
-	relaxPending atomic.Int64
-	relaxPopHook func(dag.NodeID) // test hook: between claim and journal
 
 	// Schedule-cache replay path (nil cursorInst = per-task grant
 	// journaling).  When the policy grants strictly along a cached
@@ -348,13 +336,7 @@ func newCore(g *dag.Dag, policy heur.Policy, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.relaxShards > 0 {
-		s.relax = newRelaxedCore(g, policy, s.relaxShards)
-	} else if ci, ok := s.inst.(cursorInstance); ok {
-		// The relaxed core pops out of order, so cursor journaling only
-		// arms on the exact locked path.
-		s.cursorInst = ci
-	}
+	s.cursorInst, _ = s.inst.(cursorInstance) // nil unless the policy walks a cursor
 	s.m = newServerMetrics(s.reg)
 	s.start = s.now()
 	return s
@@ -852,9 +834,6 @@ func (s *Server) Allocate() (dag.NodeID, AllocState) {
 func (s *Server) AllocateBatch(k int) ([]dag.NodeID, AllocState) { return s.allocateBatch(k, "") }
 
 func (s *Server) allocateBatch(k int, actor string) ([]dag.NodeID, AllocState) {
-	if s.relax != nil {
-		return s.relaxedAllocateBatch(k, actor)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.unavailableLocked() != nil {
@@ -1119,11 +1098,7 @@ func (s *Server) failLocked(v dag.NodeID, actor string) (requeued, quarantined b
 		s.quarantineLocked(v, actor)
 		return false, true, nil
 	}
-	if s.relax != nil {
-		s.relax.Push(v)
-	} else {
-		s.returned = append(s.returned, v)
-	}
+	s.returned = append(s.returned, v)
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseRetry, Task: int(v), Name: s.g.Name(v),
 			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
@@ -1168,14 +1143,6 @@ func (s *Server) ReportAllocate(done, failed []dag.NodeID, k int) (BatchReport, 
 }
 
 func (s *Server) reportAllocate(done, failed []dag.NodeID, k int, actor string) (BatchReport, []dag.NodeID, AllocState, error) {
-	if s.relax != nil {
-		rep, err := s.report(done, failed, actor)
-		if err != nil {
-			return rep, nil, AllocEmpty, err
-		}
-		batch, state := s.relaxedAllocateBatch(k, actor)
-		return rep, batch, state, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.unavailableLocked(); err != nil {

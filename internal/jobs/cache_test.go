@@ -55,10 +55,10 @@ func TestCacheWarmHitArmsReplay(t *testing.T) {
 	}
 }
 
-// TestCacheRelaxedJobNeverReplays: a relaxed-core job may reuse the
-// cached analysis but must keep per-task grant records — its grants pop
-// out of order, which a cursor cannot describe.
-func TestCacheRelaxedJobNeverReplays(t *testing.T) {
+// TestCacheShardedJobNeverReplays: a sharded job may reuse the cached
+// analysis but must keep per-task grant records — each shard journals
+// its own grants, which one job-level cursor cannot describe.
+func TestCacheShardedJobNeverReplays(t *testing.T) {
 	s := New(Config{})
 	defer closeServer(s)
 	h := newHarness(t, s)
@@ -66,15 +66,15 @@ func TestCacheRelaxedJobNeverReplays(t *testing.T) {
 	specs := map[string]Spec{}
 	id1 := h.submit(sp)
 	specs[id1] = sp
-	spRelax := sp
-	spRelax.Relaxed = 2
-	id2 := h.submit(spRelax)
-	specs[id2] = spRelax
+	spSharded := sp
+	spSharded.Shards = 2
+	id2 := h.submit(spSharded)
+	specs[id2] = spSharded
 	h.drain(2)
 	h.checkValues(specs)
 	st, _ := s.JobByID(id2)
 	if !st.CacheHit || st.Replay {
-		t.Fatalf("relaxed repeat: cacheHit=%v replay=%v, want true/false", st.CacheHit, st.Replay)
+		t.Fatalf("sharded repeat: cacheHit=%v replay=%v, want true/false", st.CacheHit, st.Replay)
 	}
 }
 

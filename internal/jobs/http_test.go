@@ -59,14 +59,20 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 	graphs := map[string]*dag.Dag{}
 	vals := map[string][]uint64{}
 	specs := map[string]Spec{}
-	submit := func(sp Spec) string {
-		code, body := postJSON(t, ts.URL+"/jobs", sp)
+	submit := func(req any) string {
+		code, body := postJSON(t, ts.URL+"/jobs", req)
 		if code != http.StatusAccepted {
 			t.Fatalf("POST /jobs -> %d: %s", code, body)
 		}
 		var st JobStatus
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatal(err)
+		}
+		sp, ok := req.(Spec)
+		if !ok { // a raw body: the spec is what the server's decoder sees in it
+			if err := json.Unmarshal(req.(json.RawMessage), &sp); err != nil {
+				t.Fatal(err)
+			}
 		}
 		g, _, err := buildJob(sp)
 		if err != nil {
@@ -77,13 +83,16 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 		mu.Unlock()
 		return st.Job
 	}
-	for _, sp := range []Spec{
-		{Tenant: "a", Family: "wavefront", Size: 6},
-		{Tenant: "b", Family: "prefix", Size: 32},
-		{Tenant: "c", Family: "fftconv", Size: 3},
-		{Tenant: "a", Dag: rawDag(6, [][2]int{{0, 3}, {1, 3}, {2, 4}, {3, 5}, {4, 5}})},
+	for _, req := range []any{
+		Spec{Tenant: "a", Family: "wavefront", Size: 6},
+		Spec{Tenant: "b", Family: "prefix", Size: 32},
+		Spec{Tenant: "c", Family: "fftconv", Size: 3},
+		Spec{Tenant: "a", Dag: rawDag(6, [][2]int{{0, 3}, {1, 3}, {2, 4}, {3, 5}, {4, 5}})},
+		// A body written for the removed k-relaxed grant path: the key is
+		// unknown now, the job is accepted and runs on the exact path.
+		json.RawMessage(`{"tenant": "b", "family": "wavefront", "size": 4, "relaxed": 4}`),
 	} {
-		submit(sp)
+		submit(req)
 	}
 
 	compute := func(job string, task dag.NodeID, _ string) error {
@@ -153,9 +162,13 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 	}
 
 	// GET /status: service snapshot plus the job list with epochs.
+	var raw json.RawMessage
 	var st statusResponse
-	if code := getJSON(t, ts.URL+"/status", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/status", &raw); code != http.StatusOK {
 		t.Fatalf("GET /status -> %d", code)
+	}
+	if err := json.Unmarshal(raw, &st); err != nil || bytes.Contains(raw, []byte("relaxed")) {
+		t.Fatalf("GET /status: err %v, body %s", err, raw)
 	}
 	if st.Finished != len(specs) || len(st.Jobs) != len(specs) || len(st.Tenants) != 3 {
 		t.Fatalf("status %+v", st)

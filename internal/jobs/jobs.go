@@ -37,7 +37,6 @@ import (
 	"icsched/internal/heur"
 	"icsched/internal/icserver"
 	"icsched/internal/obs"
-	"icsched/internal/relaxed"
 	"icsched/internal/schedcache"
 	"icsched/internal/shard"
 	"icsched/internal/wal"
@@ -60,11 +59,6 @@ type Spec struct {
 	// Dag is a dagio JSON payload ({"nodes": n, "arcs": [[u,v],...]});
 	// such jobs are scheduled by the MAX-NEW-ELIGIBLE analysis.
 	Dag json.RawMessage `json:"dag,omitempty"`
-	// Relaxed opts this job into the lock-free k-relaxed grant core with
-	// the given shard count (0 = exact locked path; see internal/relaxed).
-	// The choice is journaled with the spec, so a recovered job keeps its
-	// grant path.
-	Relaxed int `json:"relaxed,omitempty"`
 	// Shards > 1 cuts the job's dag into that many schedule-guided
 	// components executed by embedded shard servers with cross-shard arc
 	// forwarding (see internal/shard); 0/1 keeps the single-server core.
@@ -282,8 +276,7 @@ func Recover(dir string, cfg Config) (*Server, error) {
 			j := &Job{
 				id: ev.Job,
 				spec: Spec{Tenant: ev.Tenant, Weight: ev.Weight,
-					Family: ev.Family, Size: ev.Size, Dag: ev.Dag,
-					Relaxed: ev.Relaxed, Shards: ev.Shards},
+					Family: ev.Family, Size: ev.Size, Dag: ev.Dag, Shards: ev.Shards},
 				state:       StateQueued,
 				submittedAt: time.Unix(0, ev.At),
 			}
@@ -385,9 +378,6 @@ func (s *Server) jobCore(j *Job) (taskCore, error) {
 	if s.cfg.Clock != nil {
 		opts = append(opts, icserver.WithClock(s.cfg.Clock))
 	}
-	if j.spec.Relaxed > 0 {
-		opts = append(opts, icserver.WithRelaxed(j.spec.Relaxed))
-	}
 	if s.dir == "" {
 		return icserver.New(j.g, policy, opts...), nil
 	}
@@ -427,8 +417,8 @@ func (s *Server) builder() {
 // analyzer resolves each job's allocation order (the scheduling
 // analysis), still off the grant path.  The schedule cache turns the
 // analysis into a canonical-hash lookup for repeated shapes: a warm hit
-// skips the computation entirely, and an exact (same-labeling) hit on a
-// non-relaxed job additionally arms steady-state replay — grants become
+// skips the computation entirely, and an exact (same-labeling) hit on an
+// unsharded job additionally arms steady-state replay — grants become
 // cursor walks over the cached order.
 func (s *Server) analyzer() {
 	defer s.wg.Done()
@@ -458,10 +448,9 @@ func (s *Server) analyzeCached(j *Job) error {
 	// Replay requires an exact-labeling entry: identity translation means
 	// the cached order is byte-for-byte what analyzeJob(g) re-derives, so
 	// a recovered incarnation folds the cursor journal against the very
-	// same order.  Relaxed jobs grant out of order and keep per-task
-	// records; sharded jobs journal per shard, which one job-level cursor
-	// cannot describe.
-	j.replay = j.spec.Relaxed == 0 && j.spec.Shards <= 1 && res.Exact
+	// same order.  Sharded jobs journal per shard, which one job-level
+	// cursor cannot describe.
+	j.replay = j.spec.Shards <= 1 && res.Exact
 	return nil
 }
 
@@ -564,9 +553,6 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 	if sp.Weight < 0 {
 		return JobStatus{}, fmt.Errorf("jobs: negative weight %d", sp.Weight)
 	}
-	if sp.Relaxed < 0 || sp.Relaxed > relaxed.MaxShards {
-		return JobStatus{}, fmt.Errorf("jobs: relaxed shard count %d outside [0, %d]", sp.Relaxed, relaxed.MaxShards)
-	}
 	if sp.Shards < 0 || sp.Shards > shard.MaxShards {
 		return JobStatus{}, fmt.Errorf("jobs: shard count %d outside [0, %d]", sp.Shards, shard.MaxShards)
 	}
@@ -591,8 +577,7 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 	}
 	if err := s.man.append(manifestEvent{Event: "submit", At: j.submittedAt.UnixNano(),
 		Job: j.id, Tenant: sp.Tenant, Weight: sp.Weight,
-		Family: sp.Family, Size: sp.Size, Dag: sp.Dag, Relaxed: sp.Relaxed,
-		Shards: sp.Shards}); err != nil {
+		Family: sp.Family, Size: sp.Size, Dag: sp.Dag, Shards: sp.Shards}); err != nil {
 		return JobStatus{}, err
 	}
 	select {

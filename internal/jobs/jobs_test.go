@@ -263,71 +263,6 @@ func TestPipelineRunsJobsToCompletion(t *testing.T) {
 	}
 }
 
-// TestRelaxedJob opts jobs into the lock-free relaxed grant core and
-// checks that they run to completion with bit-identical values next to
-// locked-path jobs, that the shard count is validated, and that the
-// choice survives manifest recovery.
-func TestRelaxedJob(t *testing.T) {
-	s := New(Config{})
-	h := newHarness(t, s)
-	specs := map[string]Spec{}
-	for _, sp := range []Spec{
-		{Tenant: "a", Family: "wavefront", Size: 4, Relaxed: 4},
-		{Tenant: "a", Family: "prefix", Size: 16},
-		{Tenant: "b", Dag: rawDag(5, [][2]int{{0, 2}, {1, 2}, {2, 3}, {2, 4}}), Relaxed: 2},
-	} {
-		specs[h.submit(sp)] = sp
-	}
-	h.drain(4)
-	h.checkValues(specs)
-	for id := range specs {
-		if st, _ := s.JobByID(id); st.State != StateFinished || st.Completed != st.Nodes {
-			t.Fatalf("job %s: %+v", id, st)
-		}
-	}
-	for _, bad := range []int{-1, 1000} {
-		if _, err := s.Submit(Spec{Tenant: "a", Family: "prefix", Size: 8, Relaxed: bad}); err == nil {
-			t.Errorf("relaxed=%d accepted, want error", bad)
-		}
-	}
-	if err := closeServer(s); err != nil {
-		t.Fatal(err)
-	}
-
-	// Durable: a mid-flight relaxed job keeps its grant path across
-	// recovery (the spec travels through the manifest).
-	dir := t.TempDir()
-	cfg := Config{Wal: wal.Options{SyncEvery: 1}}
-	ds, err := Recover(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dh := newHarness(t, ds)
-	sp := Spec{Tenant: "a", Family: "wavefront", Size: 8, Relaxed: 4}
-	id := dh.submit(sp)
-	waitState(t, ds, id, StateActive)
-	ds.Kill()
-	ds2, err := Recover(dir, cfg)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	defer closeServer(ds2)
-	ds2.mu.Lock()
-	j := ds2.jobs[id]
-	gotRelaxed, srv := j.spec.Relaxed, j.srv
-	ds2.mu.Unlock()
-	if gotRelaxed != 4 {
-		t.Fatalf("recovered spec relaxed = %d, want 4", gotRelaxed)
-	}
-	if srv == nil || srv.RelaxedShards() != 4 {
-		t.Fatalf("recovered job core not relaxed: %+v", srv)
-	}
-	dh2 := newHarness(t, ds2)
-	dh2.track(id, sp)
-	dh2.drain(4)
-	dh2.checkValues(map[string]Spec{id: sp})
-}
-
 // TestShardedJob runs jobs cut across embedded shard servers (Spec.
 // Shards > 1) next to single-server jobs and checks bit-identical
 // values, that the shard count is validated and disables steady-state
@@ -669,6 +604,70 @@ func TestRecoverQueuedJob(t *testing.T) {
 	}
 	if st.Job != "j2" {
 		t.Fatalf("next job ID %q, want j2", st.Job)
+	}
+}
+
+// TestRecoverServiceWrittenWithRelaxedJobs recovers
+// testdata/pr14-relaxed-service (see its README): a durable service
+// directory of the parent commit holding two `"relaxed": 4` jobs — j1
+// active with 9 of 36 tasks done and three in flight, j2 submitted but
+// never activated.  The key is unknown to this manifest reader and j1's
+// journal holds ordinary per-task records, so both jobs must finish on
+// the exact path with the serial reference's values.
+func TestRecoverServiceWrittenWithRelaxedJobs(t *testing.T) {
+	const src = "testdata/pr14-relaxed-service"
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "job-j1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{manifestName, "job-j1/wal-0000000000000001.log"} {
+		data, err := os.ReadFile(filepath.Join(src, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, rel), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil || strings.Count(string(man), `"relaxed":4`) != 2 {
+		t.Fatalf("testdata manifest: err %v, want two \"relaxed\":4 submit events in\n%s", err, man)
+	}
+	specs := map[string]Spec{
+		"j1": {Tenant: "a", Family: "wavefront", Size: 6},
+		"j2": {Tenant: "b", Dag: rawDag(7, [][2]int{{0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 5}, {4, 5}, {5, 6}})},
+	}
+
+	s, err := Recover(dir, Config{Lease: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(s)
+	h := newHarness(t, s)
+	for id, sp := range specs {
+		h.track(id, sp)
+	}
+	// The dead incarnation's completions, re-computed in journal order.
+	rec, err := wal.ReadAll(filepath.Join(src, "job-j1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, r := range rec.Records {
+		if r.Kind == wal.KindDone {
+			h.compute("j1", dag.NodeID(r.Task))
+			done++
+		}
+	}
+	if st := waitState(t, s, "j1", StateActive); done != 9 || st.Completed != 9 || st.Epoch != 2 {
+		t.Fatalf("recovered j1 %+v with %d journaled completions, want 9 completed at epoch 2", st, done)
+	}
+	h.drain(3)
+	h.checkValues(specs)
+	for id := range specs {
+		if st, _ := s.JobByID(id); st.State != StateFinished || st.Completed != st.Nodes {
+			t.Fatalf("job %s: %+v", id, st)
+		}
 	}
 }
 

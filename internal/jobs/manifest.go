@@ -25,13 +25,12 @@ type manifestEvent struct {
 	Job string `json:"job"`
 	// Submit events carry the full spec, so a recovering server can
 	// re-derive the dag and schedule deterministically.
-	Tenant  string          `json:"tenant,omitempty"`
-	Weight  int             `json:"weight,omitempty"`
-	Family  string          `json:"family,omitempty"`
-	Size    int             `json:"size,omitempty"`
-	Dag     json.RawMessage `json:"dag,omitempty"`
-	Relaxed int             `json:"relaxed,omitempty"`
-	Shards  int             `json:"shards,omitempty"`
+	Tenant string          `json:"tenant,omitempty"`
+	Weight int             `json:"weight,omitempty"`
+	Family string          `json:"family,omitempty"`
+	Size   int             `json:"size,omitempty"`
+	Dag    json.RawMessage `json:"dag,omitempty"`
+	Shards int             `json:"shards,omitempty"`
 	// Activate events record whether the job runs in steady-state replay
 	// mode (cursor-journaled cached order): the decision depends on cache
 	// state at activation, so recovery must read it back rather than

@@ -20,7 +20,6 @@ type taskCore interface {
 	Status() icserver.Status
 	Epoch() uint64
 	Finished() bool
-	RelaxedShards() int
 	Shutdown(ctx context.Context) error
 	Kill()
 }
@@ -48,7 +47,6 @@ func newShardedCore(j *Job, k int, dir string, cfg Config) (*shardedCore, error)
 	scfg := shard.Config{
 		Lease:       cfg.Lease,
 		MaxAttempts: cfg.MaxAttempts,
-		Relaxed:     j.spec.Relaxed,
 		WalOpts:     cfg.Wal,
 	}
 	if dir != "" {
@@ -161,10 +159,6 @@ func (sc *shardedCore) Epoch() uint64 {
 }
 
 func (sc *shardedCore) Finished() bool { return sc.coord.Finished() }
-
-// RelaxedShards reports the per-shard relaxed-core width (every shard
-// shares the job's setting).
-func (sc *shardedCore) RelaxedShards() int { return sc.coord.Server(0).RelaxedShards() }
 
 func (sc *shardedCore) Shutdown(ctx context.Context) error { return sc.coord.Shutdown(ctx) }
 

@@ -23,14 +23,17 @@
 //
 // With a single shard (S=1) sampling degenerates to "claim the lowest set
 // bit of the only bitset", which is exactly the ELIGIBLE-prefix order —
-// bit-identical to the locked scheduler.  That degeneration anchors the
-// differential tests.
+// bit-identical to the locked scheduler (TestSingleShardIsExactOrder).
 //
-// Quality guarantee (checked by internal/difftest): a serial pop always
-// returns the best-ranked task of some shard, so its global rank among the
-// e currently-eligible tasks is at most e - (tasks sharing its shard) + 1.
-// The realized eligibility profile is reconstructed from the obs trace and
-// priced against the exact order with sched.WorstStepRatio.
+// Quality guarantee: a serial pop always returns the best-ranked task of
+// some shard, so its global rank among the e currently-eligible tasks is
+// at most e - (tasks sharing its shard) + 1 (TestShardMinInvariant).
+//
+// No server grants through this package any more: PR 23 removed the
+// relaxed grant path (DESIGN.md §12, EXPERIMENTS.md E18), and the package
+// stays only because bench/workloads.go probes it for the per-layer
+// metric relaxed.push_pop_ns_per_task and a non-benchmark PR may not edit
+// bench/; the next benchmark PR drops the probe and this package together.
 package relaxed
 
 import (

@@ -29,8 +29,8 @@ type replayPolicy struct {
 
 func (p replayPolicy) Name() string { return p.name }
 
-// Order exposes the static order (heur.Ordered), which also lets the
-// relaxed grant core rank tasks by the cached schedule.
+// Order exposes the static order (heur.Ordered): recovery folds the
+// cursor journal against it.
 func (p replayPolicy) Order() []dag.NodeID { return p.order }
 
 func (p replayPolicy) Start(g *dag.Dag) heur.Instance {

@@ -33,9 +33,6 @@ type Config struct {
 	// MaxAttempts is each shard's quarantine threshold (0 keeps
 	// icserver's default).
 	MaxAttempts int
-	// Relaxed arms each shard's lock-free relaxed grant core with that
-	// many core shards (0 keeps the exact locked path).
-	Relaxed int
 	// WalOpts tunes every journal (shards and bus) when Dir is set.
 	WalOpts wal.Options
 }
@@ -47,10 +44,9 @@ type pendingArc struct {
 }
 
 // Coordinator runs K embedded icserver cores — one per shard of a
-// Partition, each with its own journal, epoch, and relaxed/cache
-// configuration — joined by an arc-forwarding bus: a completion of a
-// boundary task on shard i becomes eligibility credits on every shard
-// a cross-arc points into.  Forwardings are batched, deduplicated,
+// Partition, each with its own journal and epoch — joined by an
+// arc-forwarding bus: a completion of a boundary task on shard i becomes
+// eligibility credits on every shard a cross-arc points into.  Forwardings are batched, deduplicated,
 // and journaled as wal.KindArc records in the bus journal, so a shard
 // kill or full restart never drops or double-delivers a cross-shard
 // arc (credits are idempotent per (task, source) pair on the
@@ -215,9 +211,6 @@ func (c *Coordinator) startShard(i int) (*icserver.Server, error) {
 	}
 	if c.cfg.MaxAttempts != 0 {
 		opts = append(opts, icserver.WithMaxAttempts(c.cfg.MaxAttempts))
-	}
-	if c.cfg.Relaxed > 0 {
-		opts = append(opts, icserver.WithRelaxed(c.cfg.Relaxed))
 	}
 	if c.cfg.Dir == "" {
 		return icserver.New(c.part.Locals[i], policy, opts...), nil

@@ -88,7 +88,7 @@ func TestRecombinedRunMatchesSingleServer(t *testing.T) {
 // the dag and tally every task exactly once.
 func TestWorkerFleetHTTP(t *testing.T) {
 	g, order, p := gridCase(t, 10, 10, 4)
-	c, err := New(g, order, p, Config{Lease: 2 * time.Second, Relaxed: 0})
+	c, err := New(g, order, p, Config{Lease: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
