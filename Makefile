@@ -1,13 +1,20 @@
 # icsched — build / test / bench targets.
 
 GO ?= go
+# go test -run with a guard against alternatives that match no test.
+MATCH = .github/scripts/run-matching.sh
 
-.PHONY: all build vet test race bench cover fuzz figures experiments clean chaos grantcore
+.PHONY: all build fmt vet test race bench cover figures experiments clean ci \
+	benchsmoke grantalloc observability wire oracle chaos journal jobs grantcore \
+	schedcache shard shardkill benchmark difftest stress fuzz
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -19,30 +26,85 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/heur ./internal/icserver
+	$(GO) test -bench=. -benchmem . ./internal/heur ./internal/icserver ./internal/opt
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/dagio/
-	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalJSON -fuzztime=10s ./internal/dagio/
+# CI lanes: every step of .github/workflows/ci.yml is one of these
+# targets, and `make ci` runs them all in ci.yml's order, so a builder
+# without GitHub runs exactly what CI runs.  None needs the network.
+ci: fmt vet test race benchsmoke grantalloc observability wire oracle chaos \
+	journal jobs grantcore schedcache shard shardkill benchmark experiments \
+	difftest stress fuzz
 
-# CI lanes: ci.yml runs exactly these targets, so `make chaos grantcore`
-# is what CI runs for them.
+benchsmoke:
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/opt
+
+grantalloc:
+	$(MATCH) 'StaticPool|ScoredPoliciesMatchScan|RanksTotal|ReportAllocateAllocs|LeaseSemanticsGolden|RecoverJournalWrittenBeforeDenseState|LatencyHistogramsResolve' ./internal/heur/ ./internal/icserver/
+	$(GO) test -run '^$$' -bench 'StaticWideFrontier|GrantCoreFly' -benchtime=1x -benchmem ./internal/heur/ ./internal/icserver/
+
+observability:
+	$(MATCH) -race 'Metrics|Trace|Jitter|Replay|Observer|Histogram|Rendering' ./...
+
+# Golden request sequences, the resync table, default seeding.
+wire:
+	$(MATCH) -race 'WireSequenceGolden|ResyncEpochContract|UnseededWorkers|ClientSeedReachesEngine|GaugesAfterBatchGrant' ./internal/difftest/ ./internal/jobs/ ./internal/icserver/
+
+oracle:
+	$(MATCH) -race 'Frontier|WorkerCount|Budget|Decide|Beyond' ./internal/opt/ ./internal/difftest/
+
 chaos:
-	.github/scripts/run-matching.sh -race 'Chaos|Churn|ServerKill|Recover|EpochBump' ./...
+	$(MATCH) -race 'Chaos|Churn|ServerKill|Recover|EpochBump' ./...
 	$(GO) run ./cmd/icsched chaos -trace chaos_trace.json -kills 3
 
-grantcore:
-	.github/scripts/run-matching.sh -race 'Relaxed|Shard|Prop' ./internal/relaxed/
+# Replay fuzz seed corpus.
+journal:
+	$(MATCH) 'SeedCorpusReplay|Replay10k' ./internal/wal/
 
-figures:
-	$(GO) run ./cmd/icsched figures figures/
+jobs:
+	$(GO) test -race ./internal/jobs/
+
+grantcore:
+	$(MATCH) -race 'Relaxed|Shard|Prop' ./internal/relaxed/
+
+schedcache:
+	$(MATCH) -race 'Canon|Cache|Replay|Cursor|Singleflight|Evict' ./internal/schedcache/ ./internal/icserver/ ./internal/wal/ ./internal/difftest/
+
+shard:
+	$(GO) test -race ./internal/shard/
+
+# Bus re-delivery, bit-identical recovery.
+shardkill:
+	$(GO) run ./cmd/icsched chaos -shardkill 2 -shards 3
+
+# The one benchmark lane: every BENCHMARK.json workload at smoke size,
+# failing only on its bit-for-bit correctness gate.
+benchmark:
+	$(GO) run ./bench -smoke
 
 experiments:
 	$(GO) run ./cmd/icsched experiments
+
+# Cross-layer + theorem properties.
+difftest:
+	$(GO) run ./cmd/icsched difftest -seed 1 -n 200
+
+stress:
+	$(MATCH) -race StressConcurrent ./internal/difftest/
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 30s ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz '^FuzzServerProtocol$$' -fuzztime 30s ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalJSON$$' -fuzztime 30s ./internal/dagio/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecords$$' -fuzztime 30s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzRelaxedGrant$$' -fuzztime 30s ./internal/relaxed/
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalHash$$' -fuzztime 30s ./internal/schedcache/
+
+figures:
+	$(GO) run ./cmd/icsched figures figures/
 
 clean:
 	rm -rf figures cover.out

@@ -29,7 +29,6 @@ import (
 	"icsched/internal/icsim"
 	"icsched/internal/matmuldag"
 	"icsched/internal/mesh"
-	"icsched/internal/opt"
 	"icsched/internal/prefix"
 	"icsched/internal/prio"
 	"icsched/internal/sched"
@@ -388,50 +387,6 @@ func BenchmarkSec7MatMul(b *testing.B) {
 }
 
 // --- assessment machinery ([15],[19]-style) ------------------------------
-
-func BenchmarkOracleAnalyze(b *testing.B) {
-	layered24 := dag.RandomLayered(rand.New(rand.NewSource(1)), []int{4, 5, 5, 5, 5}, 3)
-	for _, bench := range []struct {
-		name string
-		g    *dag.Dag
-	}{
-		{"outmesh-21", mesh.OutMesh(6)},
-		{"layered-24", layered24},
-		{"outmesh-28", mesh.OutMesh(7)}, // beyond the legacy 26-node cap
-		{"layered-33", dag.RandomLayered(rand.New(rand.NewSource(2)), []int{3, 6, 6, 6, 6, 6}, 2)}, // ditto
-	} {
-		b.Run("frontier/"+bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.Analyze(bench.g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("serial/"+bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.AnalyzeWorkers(bench.g, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if bench.g.NumNodes() <= opt.LegacyMaxNodes {
-			b.Run("legacy/"+bench.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := opt.AnalyzeLegacy(bench.g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	b.Run("decide/layered-24", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := opt.Decide(layered24); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkProfileReuse measures the zero-allocation replay core: a
 // reused bitset State profiling a 24-node schedule versus the

@@ -66,10 +66,6 @@ func run(args []string) error {
 		return cmdChaos(args[1:])
 	case "difftest":
 		return cmdDifftest(args[1:])
-	case "bench":
-		return cmdBench(args[1:])
-	case "loadgen":
-		return cmdLoadgen(args[1:])
 	case "experiments":
 		return cmdExperiments()
 	case "help", "-h", "--help":
@@ -100,11 +96,9 @@ commands:
                               -shards K cuts the dag across K shard servers behind one coordinator
   chaos [-trace FILE] [-kills N] [-shardkill N -shards K] [seed]  fault-injection proof: all workloads under chaos, bit-checked
   difftest [-seed S] [-n N]   differential test: exec vs icsim vs icserver + theorem properties
-  bench [flags] [family...]   run families through the executor, write BENCH_*.json
-  loadgen [flags]             HTTP throughput benchmark: single vs batched protocol, write BENCH_throughput.json
-                              (-stream BENCH_stream.json, -zipf schedule-cache BENCH_cache.json,
-                               -shards sharded-coordinator BENCH_shard.json)
-  experiments                 regenerate the EXPERIMENTS.md tables`)
+  experiments                 regenerate the EXPERIMENTS.md tables
+
+performance is measured by the benchmark, not by this command: go run ./bench (bench/README.md)`)
 }
 
 func parseFamily(args []string) (family, int, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,8 +16,13 @@ func TestRunHelpAndFamilies(t *testing.T) {
 }
 
 func TestRunUnknownCommand(t *testing.T) {
-	if err := run([]string{"bogus"}); err == nil {
-		t.Fatal("unknown command accepted")
+	// go run ./bench is the only performance harness: neither loadgen
+	// nor bench may come back as a subcommand.
+	for _, cmd := range []string{"bogus", "loadgen", "bench"} {
+		err := run([]string{cmd})
+		if err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Fatalf("run(%q) = %v, want unknown command", cmd, err)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -84,5 +86,17 @@ func TestChaosTraceRecorded(t *testing.T) {
 	}
 	if !sawClientActor {
 		t.Fatal("no done event carried a client actor (X-IC-Client lost)")
+	}
+	// What `icsched chaos -trace out.json` writes from this recorder
+	// must load in chrome://tracing: one event or more under traceEvents.
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil || len(doc.TraceEvents) < rep.Tasks {
+		t.Fatalf("chrome trace of a %d-task run: %d traceEvents, err %v", rep.Tasks, len(doc.TraceEvents), err)
 	}
 }

@@ -22,10 +22,9 @@ import (
 )
 
 // fnvNodeValue hashes v's ID together with its parents' values (FNV-1a),
-// the order-independent ground truth internal/difftest and the loadgen
-// harness use: any execution respecting the dependencies computes
-// identical values, so a re-executed task after a server crash is
-// bitwise idempotent.
+// the order-independent ground truth internal/difftest uses: any
+// execution respecting the dependencies computes identical values, so a
+// re-executed task after a server crash is bitwise idempotent.
 func fnvNodeValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)

@@ -58,9 +58,9 @@ type Config struct {
 	// Start is the index of the first instance; reproduce a failing
 	// instance k by rerunning with Start=k, N=1 and the same Seed.
 	Start int
-	// MaxNodes caps generated dag sizes (default 28, past the legacy
-	// oracle's 26-node limit; instances whose lattice outgrows the layer
-	// budget skip the oracle checks instead of capping the dag).
+	// MaxNodes caps generated dag sizes (default 28; instances whose
+	// lattice outgrows the layer budget skip the oracle checks instead
+	// of capping the dag).
 	MaxNodes int
 	// Workers is the worker count for the parallel executor pass
 	// (default 4).
@@ -68,21 +68,6 @@ type Config struct {
 	// MaxFailures stops the run early after this many failing instances
 	// (default 5).
 	MaxFailures int
-	// LegacyOracle routes the oracle property checks through the
-	// retained-lattice pre-frontier implementation (opt.AnalyzeLegacy)
-	// instead of the frontier oracle — the A/B switch used by the soak
-	// benchmark (EXPERIMENTS.md E15).  Dags beyond opt.LegacyMaxNodes
-	// skip the oracle checks in this mode.
-	LegacyOracle bool
-}
-
-// oracle is the IC-optimality interface both opt implementations
-// satisfy; the harness is differential over it.
-type oracle interface {
-	MaxE() []int
-	IsOptimal(order []dag.NodeID) (bool, int, error)
-	OptimalSchedule() ([]dag.NodeID, bool)
-	Exists() bool
 }
 
 // oracleBudget caps the frontier oracle's per-layer ideal count inside
@@ -92,19 +77,9 @@ type oracle interface {
 // checks instead of exhausting memory.
 const oracleBudget = 1 << 18
 
-// analyze runs the configured oracle on g, returning nil (no error)
-// when g is out of the oracle's reach and the checks should be skipped.
-func (cfg Config) analyze(g *dag.Dag) (oracle, error) {
-	if cfg.LegacyOracle {
-		if g.NumNodes() > opt.LegacyMaxNodes {
-			return nil, nil
-		}
-		l, err := opt.AnalyzeLegacy(g)
-		if err != nil {
-			return nil, err
-		}
-		return l, nil
-	}
+// analyze runs the exact oracle on g, returning nil (no error) when g
+// is out of the oracle's reach and the checks should be skipped.
+func analyze(g *dag.Dag) (*opt.Lattice, error) {
 	if g.NumNodes() > opt.MaxNodes {
 		return nil, nil
 	}
@@ -241,7 +216,7 @@ type scratch struct {
 // generated instance.
 func checkInstance(rng *rand.Rand, inst instance, cfg Config, rep *Report, scr *scratch) error {
 	g := inst.g
-	lat, err := cfg.analyze(g)
+	lat, err := analyze(g)
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
@@ -311,7 +286,7 @@ func checkInstance(rng *rand.Rand, inst instance, cfg Config, rep *Report, scr *
 			}
 		}
 	}
-	if err := checkDuality(g, order, oracleOptimal, cfg, rep); err != nil {
+	if err := checkDuality(g, order, oracleOptimal, rep); err != nil {
 		return fmt.Errorf("duality: %w", err)
 	}
 	if err := checkPrioDuality(rng, rep); err != nil {
@@ -332,7 +307,7 @@ func checkInstance(rng *rand.Rand, inst instance, cfg Config, rep *Report, scr *
 // half the time the oracle's IC-optimal schedule (when one exists), the
 // other half a uniformly random legal order, so both the optimal and the
 // arbitrary-legal regimes are exercised.
-func chooseOrder(rng *rand.Rand, g *dag.Dag, lat oracle, st *sched.State) ([]dag.NodeID, bool) {
+func chooseOrder(rng *rand.Rand, g *dag.Dag, lat *opt.Lattice, st *sched.State) ([]dag.NodeID, bool) {
 	if lat != nil && rng.Intn(2) == 0 {
 		if o, ok := lat.OptimalSchedule(); ok {
 			return o, true
@@ -654,7 +629,7 @@ func driveBatched(g *dag.Dag, order []dag.NodeID, ref []uint64, nextK func() int
 // dag, and IC-optimal on it when the original schedule was.  Orders
 // whose nonsink prefix interleaves sinks fall outside the [MRY06]
 // nonsink convention and are skipped.
-func checkDuality(g *dag.Dag, order []dag.NodeID, oracleOptimal bool, cfg Config, rep *Report) error {
+func checkDuality(g *dag.Dag, order []dag.NodeID, oracleOptimal bool, rep *Report) error {
 	nonsinks := sched.NonsinkPrefix(g, order)
 	if _, err := sched.NonsinkProfile(g, nonsinks); err != nil {
 		return nil // interleaved-sink order: duality precondition not met
@@ -671,7 +646,7 @@ func checkDuality(g *dag.Dag, order []dag.NodeID, oracleOptimal bool, cfg Config
 	if !oracleOptimal {
 		return nil
 	}
-	dl, err := cfg.analyze(d)
+	dl, err := analyze(d)
 	if err != nil {
 		return fmt.Errorf("dual oracle: %w", err)
 	}
@@ -795,7 +770,7 @@ func checkMonotonicity(rng *rand.Rand, rep *Report) error {
 // checkLinearity exercises Theorem 2.1 on a ⇑-composed instance: when
 // the composition verifies as ▷-linear, its composition schedule must be
 // IC-optimal by the exact oracle.
-func checkLinearity(c *compose.Composer, lat oracle, rep *Report) error {
+func checkLinearity(c *compose.Composer, lat *opt.Lattice, rep *Report) error {
 	linear, err := c.VerifyLinear()
 	if err != nil {
 		return err

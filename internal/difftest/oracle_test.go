@@ -1,88 +1,18 @@
 package difftest
 
-import (
-	"testing"
+import "testing"
 
-	"icsched/internal/opt"
-	"icsched/internal/sched"
-)
-
-// TestFrontierOracleMatchesLegacy is the harness-level differential test
-// of the tentpole: on seeded random instances of all five generator
-// shapes, the frontier oracle (parallel and workers=1) must agree with
-// the retained-lattice legacy implementation on the maxE profile, the
-// admits decision, and witness legality/optimality in both directions.
-func TestFrontierOracleMatchesLegacy(t *testing.T) {
-	const instances = 120
-	covered := map[string]int{}
-	for _, workers := range []int{1, 4} {
-		for idx := 0; idx < instances; idx++ {
-			rng := instanceRNG(31, idx)
-			// Legacy-reachable sizes so every instance is cross-checked.
-			inst := generate(rng, 14)
-			g := inst.g
-			if g.NumNodes() > opt.LegacyMaxNodes {
-				continue
-			}
-			covered[inst.shape]++
-			ref, err := opt.AnalyzeLegacy(g)
-			if err != nil {
-				t.Fatalf("instance %d (%s): legacy: %v", idx, inst.shape, err)
-			}
-			lat, err := opt.AnalyzeWorkers(g, workers)
-			if err != nil {
-				t.Fatalf("instance %d (%s): frontier(workers=%d): %v", idx, inst.shape, workers, err)
-			}
-			wantE, gotE := ref.MaxE(), lat.MaxE()
-			for i := range wantE {
-				if gotE[i] != wantE[i] {
-					t.Fatalf("instance %d (%s, workers=%d): MaxE[%d] = %d, legacy %d",
-						idx, inst.shape, workers, i, gotE[i], wantE[i])
-				}
-			}
-			if lat.NumIdeals() != ref.NumIdeals() {
-				t.Fatalf("instance %d (%s): NumIdeals = %d, legacy %d",
-					idx, inst.shape, lat.NumIdeals(), ref.NumIdeals())
-			}
-			if lat.Exists() != ref.Exists() {
-				t.Fatalf("instance %d (%s): admits = %v, legacy %v",
-					idx, inst.shape, lat.Exists(), ref.Exists())
-			}
-			order, ok := lat.OptimalSchedule()
-			refOrder, refOK := ref.OptimalSchedule()
-			if ok != refOK {
-				t.Fatalf("instance %d (%s): witness ok = %v, legacy %v", idx, inst.shape, ok, refOK)
-			}
-			if !ok {
-				continue
-			}
-			if err := sched.Validate(g, order); err != nil {
-				t.Fatalf("instance %d (%s): frontier witness illegal: %v", idx, inst.shape, err)
-			}
-			if opt, step, err := ref.IsOptimal(order); err != nil || !opt {
-				t.Fatalf("instance %d (%s): legacy rejects frontier witness: opt=%v step=%d err=%v",
-					idx, inst.shape, opt, step, err)
-			}
-			if opt, step, err := lat.IsOptimal(refOrder); err != nil || !opt {
-				t.Fatalf("instance %d (%s): frontier rejects legacy witness: opt=%v step=%d err=%v",
-					idx, inst.shape, opt, step, err)
-			}
-		}
-	}
-	for _, shape := range shapes {
-		if covered[shape] == 0 {
-			t.Errorf("shape %s never covered by the differential run", shape)
-		}
-	}
-}
+// legacyMaxNodes is the node cap of the pre-frontier oracle, which
+// survives only as internal/opt's test reference (legacy_test.go).
+const legacyMaxNodes = 26
 
 // TestHarnessBeyondLegacyReach pins the raised node bound: the default
 // harness configuration must generate and fully check instances larger
 // than the legacy oracle could ever reach.
 func TestHarnessBeyondLegacyReach(t *testing.T) {
 	cfg := Config{Seed: 5, N: 60}.withDefaults()
-	if cfg.MaxNodes <= opt.LegacyMaxNodes {
-		t.Fatalf("default MaxNodes = %d does not exceed the legacy cap %d", cfg.MaxNodes, opt.LegacyMaxNodes)
+	if cfg.MaxNodes <= legacyMaxNodes {
+		t.Fatalf("default MaxNodes = %d does not exceed the legacy cap %d", cfg.MaxNodes, legacyMaxNodes)
 	}
 	rep, err := Run(Config{Seed: 5, N: 60})
 	if err != nil {
@@ -91,7 +21,7 @@ func TestHarnessBeyondLegacyReach(t *testing.T) {
 	big := 0
 	for idx := 0; idx < 60; idx++ {
 		rng := instanceRNG(5, idx)
-		if inst := generate(rng, cfg.MaxNodes); inst.g.NumNodes() > opt.LegacyMaxNodes {
+		if inst := generate(rng, cfg.MaxNodes); inst.g.NumNodes() > legacyMaxNodes {
 			big++
 		}
 	}
@@ -102,36 +32,4 @@ func TestHarnessBeyondLegacyReach(t *testing.T) {
 		t.Fatal("oracle checks never ran")
 	}
 	t.Logf("%d of %d instances beyond the legacy cap; oracle covered %d", big, rep.Instances, rep.Oracle)
-}
-
-// TestLegacyOracleMode smoke-checks the A/B soak switch: the harness
-// must pass with the oracle routed through the legacy implementation.
-func TestLegacyOracleMode(t *testing.T) {
-	rep, err := Run(Config{Seed: 6, N: 40, LegacyOracle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Oracle == 0 {
-		t.Fatal("legacy oracle checks never ran")
-	}
-}
-
-// BenchmarkSoak measures the full harness per instance — the number
-// recorded in EXPERIMENTS.md E15.  The LegacyOracle variant restricts
-// generation to legacy-reachable sizes so both runs draw identical
-// instance distributions and the ratio isolates the oracle swap.
-func BenchmarkSoak(b *testing.B) {
-	for _, bench := range []struct {
-		name   string
-		legacy bool
-	}{{"frontier", false}, {"legacy", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := Run(Config{Seed: 12, N: 50, MaxNodes: 16, LegacyOracle: bench.legacy})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

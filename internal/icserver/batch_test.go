@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,45 +294,46 @@ func TestReportPiggybackGrant(t *testing.T) {
 
 // TestMixedLegacyAndBatchedClients runs both protocols against one
 // server at once: every task must complete exactly once and both client
-// kinds must make progress.  Exactly-once and totals are hard invariants
-// of every attempt; "both kinds progressed" depends on goroutine
-// scheduling (batched clients can drain a small dag before a legacy
-// client lands its first grant), so that one property retries a few
-// fresh fleets before calling starvation a failure.
+// kinds must make progress.  Progress holds by construction, not by
+// luck of the goroutine scheduler: the in-mesh starts with more sources
+// than the whole fleet can lease at once (3 legacy tasks + 3 batches of
+// at most 4), and no client of one kind finishes a task before the
+// other kind has been granted one, so neither kind can drain the dag
+// alone and neither can be left without an eligible task to be granted.
 func TestMixedLegacyAndBatchedClients(t *testing.T) {
-	levels := 9
-	const attempts = 5
-	for attempt := 1; attempt <= attempts; attempt++ {
-		legacy, batched := runMixedFleet(t, levels)
-		if legacy > 0 && batched > 0 {
-			return
-		}
-		t.Logf("attempt %d: one protocol starved: legacy=%d batched=%d", attempt, legacy, batched)
-	}
-	t.Fatalf("one protocol starved in all %d attempts", attempts)
-}
-
-// runMixedFleet drives one mixed fleet to completion, fatals on any
-// correctness violation, and returns the per-protocol completion split.
-func runMixedFleet(t *testing.T, levels int) (legacy, batched int) {
-	t.Helper()
-	g := mesh.OutMesh(levels)
-	srv := icserver.New(g, optimalMeshPolicy(levels), icserver.WithLease(0))
+	const (
+		fleet  = 6 // even clients legacy, odd clients batched
+		batch  = 4
+		levels = fleet/2 + fleet/2*batch + 1
+	)
+	g := mesh.InMesh(levels)
+	srv := icserver.New(g, heur.Static("IC-OPTIMAL", sched.Complete(g, mesh.InMeshNonsinks(levels))),
+		icserver.WithLease(0))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var mu sync.Mutex
-	seen := make([]int, g.NumNodes())
-	compute := func(v dag.NodeID, _ string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		seen[v]++
-		return nil
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	const fleet = 6
+
+	var mu sync.Mutex
+	seen := make([]int, g.NumNodes())
+	granted := [2]chan struct{}{make(chan struct{}), make(chan struct{})} // closed on the kind's first grant
+	var once [2]sync.Once
+	computeFor := func(kind int) func(dag.NodeID, string) error {
+		return func(v dag.NodeID, _ string) error {
+			once[kind].Do(func() { close(granted[kind]) })
+			select {
+			case <-granted[1-kind]:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			seen[v]++
+			return nil
+		}
+	}
+
 	var wg sync.WaitGroup
 	stats := make([]icserver.Stats, fleet)
 	errs := make([]error, fleet)
@@ -341,19 +343,19 @@ func runMixedFleet(t *testing.T, levels int) (legacy, batched int) {
 			defer wg.Done()
 			cl := &icserver.Client{
 				BaseURL: ts.URL,
-				Compute: compute,
+				Compute: computeFor(c % 2),
 				ID:      fmt.Sprintf("mixed-%d", c),
 				Seed:    int64(c + 1),
 			}
 			if c%2 == 1 {
-				cl.Batch = 4
+				cl.Batch = batch
 			}
 			stats[c], errs[c] = cl.Run(ctx)
 		}(c)
 	}
 	wg.Wait()
 
-	total := 0
+	total, legacy, batched := 0, 0, 0
 	for c := 0; c < fleet; c++ {
 		if errs[c] != nil {
 			t.Fatalf("client %d: %v", c, errs[c])
@@ -382,7 +384,9 @@ func runMixedFleet(t *testing.T, levels int) (legacy, batched int) {
 	if !srv.Finished() {
 		t.Fatal("server not finished")
 	}
-	return legacy, batched
+	if legacy == 0 || batched == 0 {
+		t.Fatalf("one protocol starved: legacy=%d batched=%d", legacy, batched)
+	}
 }
 
 // TestGaugesAfterBatchGrant pins the wart fix: gauges are reconciled
@@ -474,33 +478,74 @@ func TestBatchSingleClockRead(t *testing.T) {
 // TestBatchedClientAdaptiveSizing checks the client-side ramp: against a
 // wide dag the ask doubles after full grants, so the number of /tasks
 // round-trips is far below the task count; against constant starvation
-// it resets to 1.
+// it resets to 1.  Each row drains its dag twice, once with ONE
+// single-task client and once with ONE batched client at cap 16, and
+// counts the HTTP requests the server saw: with a fleet of one both
+// counts are functions of the dag and the schedule, not of goroutine
+// scheduling, so "batching saves round trips" is an exact assertion
+// rather than a throughput ratio.
 func TestBatchedClientAdaptiveSizing(t *testing.T) {
 	const leaves = 32
 	b := dag.NewBuilder(1 + leaves)
 	for i := 1; i <= leaves; i++ {
 		b.AddArc(0, dag.NodeID(i))
 	}
-	g := b.MustBuild()
-	srv := icserver.New(g, heur.FIFO(), icserver.WithLease(0))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cl := &icserver.Client{BaseURL: ts.URL, Batch: 16, ID: "ramp", Seed: 1}
-	st, err := cl.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	wave := mesh.Grid(32, 32)
+	cases := []struct {
+		name   string
+		g      *dag.Dag
+		policy heur.Policy
+		// maxBatches bounds the batched client's non-empty grants.
+		maxBatches int
+	}{
+		// 33 tasks: source alone (ask ramps 1,2,4,... while grants stay
+		// clamped), then the leaf layer in doubling batches.  Without
+		// ramping this would be 33 batches; with it, far fewer.
+		{"fan-32", b.MustBuild(), heur.FIFO(), 11},
+		// The 32x32 wavefront under its IC-optimal schedule: frontier
+		// 1..32..1, so grants are clamped on the narrow ends and capped
+		// at 16 in the middle: at least 8 tasks per grant on average.
+		{"wavefront-32x32", wave,
+			heur.Static("IC-OPTIMAL", sched.Complete(wave, mesh.GridDiagonalNonsinks(32, 32))), 1024 / 8},
 	}
-	if st.Completed != g.NumNodes() {
-		t.Fatalf("completed %d, want %d", st.Completed, g.NumNodes())
-	}
-	// Serial client, 33 tasks: source alone (ask ramps 1,2,4,... while
-	// grants stay clamped), then the leaf layer in doubling batches.
-	// Without ramping this would be 33 batches; with it, far fewer.
-	if st.Batches >= 12 {
-		t.Fatalf("ramp ineffective: %d tasks took %d batches", st.Completed, st.Batches)
-	}
-	if !srv.Finished() {
-		t.Fatal("server not finished")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			drain := func(batch int) (icserver.Stats, int) {
+				t.Helper()
+				srv := icserver.New(tc.g, tc.policy, icserver.WithLease(0))
+				h := srv.Handler()
+				var requests atomic.Int64
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					requests.Add(1)
+					h.ServeHTTP(w, r)
+				}))
+				defer ts.Close()
+				cl := &icserver.Client{BaseURL: ts.URL, Batch: batch, ID: "ramp", Seed: 1}
+				st, err := cl.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Completed != tc.g.NumNodes() {
+					t.Fatalf("batch %d: completed %d, want %d", batch, st.Completed, tc.g.NumNodes())
+				}
+				if !srv.Finished() {
+					t.Fatalf("batch %d: server not finished", batch)
+				}
+				return st, int(requests.Load())
+			}
+			_, single := drain(0)
+			st, batched := drain(16)
+			if st.Batches > tc.maxBatches {
+				t.Fatalf("ramp ineffective: %d tasks took %d batches, want <= %d", st.Completed, st.Batches, tc.maxBatches)
+			}
+			// A single-task client pays /task + /done per task.
+			if single < 2*tc.g.NumNodes() {
+				t.Fatalf("single-task client drained %d tasks in %d requests", tc.g.NumNodes(), single)
+			}
+			if 4*batched > single {
+				t.Fatalf("batched client needed %d requests, single-task client %d: want <= 1/4", batched, single)
+			}
+			t.Logf("%d tasks: single %d requests, batched %d requests in %d grants", tc.g.NumNodes(), single, batched, st.Batches)
+		})
 	}
 }

@@ -23,7 +23,7 @@ func closeServer(s *Server) error {
 	return s.Close(ctx)
 }
 
-// fnvNodeValue mirrors the loadgen/difftest ground truth: FNV-1a over
+// fnvNodeValue mirrors the difftest ground truth: FNV-1a over
 // the node ID and its parents' values — order-independent, so any
 // execution respecting the dependencies computes identical values.
 func fnvNodeValue(g *dag.Dag, v dag.NodeID, vals []uint64) uint64 {

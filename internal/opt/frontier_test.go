@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"icsched/internal/blocks"
+	"icsched/internal/compose"
 	"icsched/internal/dag"
 	"icsched/internal/mesh"
 )
@@ -60,16 +62,58 @@ func agreesWithLegacy(t *testing.T, g *dag.Dag, workers int) {
 	}
 }
 
+// randomComposition draws a ⇑-composition of up to three of the paper's
+// building blocks (§2.3.1, Fig. 1), merging a random subset of the
+// composite's sinks with the incoming block's sources.
+func randomComposition(t *testing.T, rng *rand.Rand) *dag.Dag {
+	t.Helper()
+	var c compose.Composer
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		var b compose.Block
+		switch rng.Intn(4) {
+		case 0:
+			b = blocks.VeeDBlock(2 + rng.Intn(3))
+		case 1:
+			b = blocks.LambdaDBlock(2 + rng.Intn(3))
+		case 2:
+			b = blocks.WBlock(2 + rng.Intn(3))
+		default:
+			b = blocks.ButterflyBlock()
+		}
+		var merges []compose.Merge
+		if i > 0 {
+			g, err := c.Dag()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sinks, sources := g.Sinks(), b.G.Sources()
+			rng.Shuffle(len(sinks), func(i, j int) { sinks[i], sinks[j] = sinks[j], sinks[i] })
+			for j, k := 0, rng.Intn(min(len(sinks), len(sources))+1); j < k; j++ {
+				merges = append(merges, compose.Merge{Source: sources[j], Sink: sinks[j]})
+			}
+		}
+		if err := c.Add(b, merges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := c.Dag()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestFrontierMatchesLegacyRandom cross-checks the frontier oracle
 // against the legacy oracle on seeded random dags of every generator
-// family, with both a parallel and a workers=1 (sequential degeneration)
-// frontier run.
+// family internal/difftest draws from (gnp, connected, layered,
+// series-parallel, ⇑-composed), with both a parallel and a workers=1
+// (sequential degeneration) frontier run.
 func TestFrontierMatchesLegacyRandom(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 30; i++ {
+		for i := 0; i < 120; i++ {
 			var g *dag.Dag
-			switch i % 4 {
+			switch i % 5 {
 			case 0:
 				g = dag.Random(rng, 1+rng.Intn(14), 0.05+0.45*rng.Float64())
 			case 1:
@@ -80,8 +124,12 @@ func TestFrontierMatchesLegacyRandom(t *testing.T) {
 					layers[j] = 1 + rng.Intn(4)
 				}
 				g = dag.RandomLayered(rng, layers, 1+rng.Intn(3))
-			default:
+			case 3:
 				g = dag.RandomSeriesParallel(rng, rng.Intn(12))
+			default:
+				if g = randomComposition(t, rng); g.NumNodes() > LegacyMaxNodes {
+					continue
+				}
 			}
 			agreesWithLegacy(t, g, workers)
 		}
@@ -228,4 +276,51 @@ func TestWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkOracleAnalyze times the frontier oracle (parallel, workers=1,
+// decision mode) beside the legacy reference on the same dags; two of
+// them are beyond the legacy cap and run frontier-only.
+func BenchmarkOracleAnalyze(b *testing.B) {
+	layered24 := dag.RandomLayered(rand.New(rand.NewSource(1)), []int{4, 5, 5, 5, 5}, 3)
+	for _, bench := range []struct {
+		name string
+		g    *dag.Dag
+	}{
+		{"outmesh-21", mesh.OutMesh(6)},
+		{"layered-24", layered24},
+		{"outmesh-28", mesh.OutMesh(7)}, // beyond the legacy 26-node cap
+		{"layered-33", dag.RandomLayered(rand.New(rand.NewSource(2)), []int{3, 6, 6, 6, 6, 6}, 2)}, // ditto
+	} {
+		b.Run("frontier/"+bench.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Analyze(bench.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("serial/"+bench.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := AnalyzeWorkers(bench.g, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if bench.g.NumNodes() <= LegacyMaxNodes {
+			b.Run("legacy/"+bench.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := AnalyzeLegacy(bench.g); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	b.Run("decide/layered-24", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Decide(layered24); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -9,10 +9,10 @@ import (
 
 // This file preserves the pre-frontier oracle verbatim.  It is the
 // ground-truth baseline that the frontier implementation in opt.go is
-// differentially tested against (internal/difftest) and measured against
-// (`icsched bench -oracle`, BENCH_oracle.json).  It retains the full
-// ideal lattice plus a global elig map, so it is limited to
-// LegacyMaxNodes nodes and is deliberately not optimized further.
+// differentially tested against (frontier_test.go) and measured against
+// (BenchmarkOracleAnalyze).  It retains the full ideal lattice plus a
+// global elig map, so it is limited to LegacyMaxNodes nodes and is
+// deliberately not optimized further.
 
 // LegacyMaxNodes bounds the dag size the legacy oracle accepts (it holds
 // every layer of the ideal lattice plus a map entry per ideal in memory

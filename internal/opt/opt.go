@@ -22,8 +22,8 @@
 // — no per-layer hash map, sort, or merge is needed.  Memory is bounded
 // by the two live layers plus the per-size optimal ideals (the "good"
 // sublattice kept for witness reconstruction) — not by the 2^n lattice,
-// which the pre-frontier implementation retained in full (see legacy.go,
-// kept as the differential-testing and benchmarking baseline).
+// which the pre-frontier implementation retained in full (see
+// legacy_test.go, kept as the reference frontier_test.go compares against).
 //
 // The procedure is exponential in the worst case; it is intended as a
 // ground-truth oracle for dags of up to MaxNodes nodes, against which the
