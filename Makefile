@@ -60,9 +60,11 @@ chaos:
 	$(MATCH) -race 'Chaos|Churn|ServerKill|Recover|EpochBump' ./...
 	$(GO) run ./cmd/icsched chaos -trace chaos_trace.json -kills 3
 
-# Replay fuzz seed corpus.
+# Replay fuzz seed corpus; one write and at most one fsync per batch,
+# the unsynced-record bound, the wounded (journal-failed) server.
 journal:
-	$(MATCH) 'SeedCorpusReplay|Replay10k' ./internal/wal/
+	$(MATCH) 'SeedCorpusReplay|Replay10k|AppendBatch|FsyncsOncePerRequest|JournalFailed' ./internal/wal/ ./internal/icserver/
+	$(GO) test -run '^$$' -bench 'Append' -benchtime=1x -benchmem ./internal/wal/
 
 jobs:
 	$(GO) test -race ./internal/jobs/

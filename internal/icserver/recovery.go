@@ -11,22 +11,39 @@ import (
 	"icsched/internal/wal"
 )
 
-// walAppendLocked journals one event of this incarnation (caller holds
-// s.mu).  A memory-only server (nil wal) skips silently; the first
-// append failure wounds the server — the in-memory state is then ahead
-// of the durable one, so every later mutating request is refused (see
-// unavailable) rather than widening the divergence.
+// walAppendLocked adds one event of this incarnation to the request's
+// pending journal batch (caller holds s.mu); walFlushLocked writes it.
+// A memory-only server (nil wal) skips silently.
 func (s *Server) walAppendLocked(k wal.Kind, v dag.NodeID, attempt uint32) {
 	if s.wal == nil || s.walErr != nil {
 		return
 	}
-	if _, err := s.wal.Append(wal.Record{Epoch: s.epoch, Kind: k, Task: int64(v), Attempt: attempt}); err != nil {
-		s.walErr = err
+	s.walPend = append(s.walPend, wal.Record{Epoch: s.epoch, Kind: k, Task: int64(v), Attempt: attempt})
+}
+
+// walFlushLocked writes the pending batch with one AppendBatch (caller
+// holds s.mu).  Every path that appends calls it before releasing s.mu,
+// and Kill takes s.mu, so a kill never falls between a mutation and its
+// record.  A failure wounds the server — the in-memory state is then
+// ahead of the durable one, so every later mutating request is refused
+// rather than widening the divergence — and is returned, so the request
+// whose own batch failed is refused too.
+func (s *Server) walFlushLocked() error {
+	if len(s.walPend) == 0 {
+		return nil
 	}
+	_, err := s.wal.AppendBatch(s.walPend)
+	s.walPend = s.walPend[:0]
+	if err != nil {
+		s.walErr = err
+		return s.unavailableLocked()
+	}
+	return nil
 }
 
 // maybeSnapshotLocked writes a compacting snapshot when the journal's
-// policy asks for one (caller holds s.mu).
+// policy asks for one (caller holds s.mu, after walFlushLocked: a
+// snapshot must not cover state whose records are unwritten).
 func (s *Server) maybeSnapshotLocked() {
 	if s.wal == nil || s.walErr != nil || !s.wal.SnapshotDue() {
 		return
@@ -135,14 +152,12 @@ func Recover(dir string, g *dag.Dag, policy heur.Policy, wopts wal.Options, opts
 	// Fence durably before serving: a successor must see this incarnation
 	// existed even if it never grants a task.
 	s.walAppendLocked(wal.KindEpoch, -1, 0)
-	if s.walErr == nil {
-		if err := l.Sync(); err != nil {
-			s.walErr = err
-		}
+	if err = s.walFlushLocked(); err == nil {
+		err = l.Sync()
 	}
-	if s.walErr != nil {
+	if err != nil {
 		l.Close()
-		return nil, fmt.Errorf("icserver: journal fence: %w", s.walErr)
+		return nil, fmt.Errorf("icserver: journal fence: %w", err)
 	}
 	s.syncGaugesLocked()
 	s.m.recoverySeconds.Set(time.Since(began).Seconds())

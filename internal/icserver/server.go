@@ -135,9 +135,10 @@ type Server struct {
 	// nonzero-epoch report.
 	epoch        uint64
 	wal          *wal.Log
-	walErr       error // first journal append failure; wounds the server
-	staleReports int   // reports rejected for carrying a stale epoch
-	killed       bool  // Kill happened: refuse all mutating requests
+	walPend      []wal.Record // this request's records, written by walFlushLocked
+	walErr       error        // first journal write failure; wounds the server
+	staleReports int          // reports rejected for carrying a stale epoch
+	killed       bool         // Kill happened: refuse all mutating requests
 	shutdownDone chan struct{}
 	shutdownErr  error
 
@@ -162,7 +163,8 @@ type Server struct {
 	extCredited map[extCredit]bool
 
 	// completionHook, when set, observes every first-time completion
-	// (after it is journaled) — the composition point the sharded
+	// (after its record is appended to the request's batch, which is
+	// written before s.mu is released) — the composition point the sharded
 	// coordinator (internal/shard) uses to turn completions into
 	// cross-shard eligibility credits.  Called under s.mu: it must not
 	// call back into this server.
@@ -305,7 +307,8 @@ func WithTrace(tr *obs.Trace) Option {
 }
 
 // WithCompletionHook observes every first-time completion, after the
-// completion is journaled and the newly-eligible packet offered.  The
+// completion's record is appended (it is written before the scheduler
+// lock is released) and the newly-eligible packet offered.  The
 // hook runs under the scheduler lock and MUST NOT call back into the
 // server; keep it to an enqueue (the sharded coordinator forwards the
 // completion to other shards from its own goroutine).
@@ -606,7 +609,11 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	if refused, _ := s.refuse(w, true); refused {
 		return
 	}
-	batch, state := s.allocateBatch(1, r.Header.Get(clientHeader))
+	batch, state, err := s.allocateBatch(1, r.Header.Get(clientHeader))
+	if err != nil {
+		writeCoreError(w, err)
+		return
+	}
 	switch state {
 	case AllocOK:
 		writeJSON(w, taskResponse{Task: batch[0], Name: s.g.Name(batch[0]), Epoch: s.epoch})
@@ -689,7 +696,11 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	if refused, _ := s.refuse(w, true); refused {
 		return
 	}
-	batch, state := s.allocateBatch(req.K, r.Header.Get(clientHeader))
+	batch, state, err := s.allocateBatch(req.K, r.Header.Get(clientHeader))
+	if err != nil {
+		writeCoreError(w, err)
+		return
+	}
 	if state == AllocFinished {
 		w.WriteHeader(http.StatusGone)
 		return
@@ -818,7 +829,7 @@ const (
 // in-process use (the simulator-free examples and tests drive it
 // directly).
 func (s *Server) Allocate() (dag.NodeID, AllocState) {
-	batch, state := s.allocateBatch(1, "")
+	batch, state := s.AllocateBatch(1)
 	if state != AllocOK {
 		return 0, state
 	}
@@ -830,20 +841,35 @@ func (s *Server) Allocate() (dag.NodeID, AllocState) {
 // lock acquisition, with one clock read and one gauge sync for the whole
 // batch.  It returns AllocOK with 1..k tasks, AllocEmpty with none (the
 // computation is live but nothing is currently allocatable), or
-// AllocFinished (terminal).  This is the in-process form of POST /tasks.
-func (s *Server) AllocateBatch(k int) ([]dag.NodeID, AllocState) { return s.allocateBatch(k, "") }
+// AllocFinished (terminal).  This is the in-process form of POST /tasks;
+// a dead or journal-wounded incarnation grants nothing (AllocEmpty, not
+// counted as a stall).
+func (s *Server) AllocateBatch(k int) ([]dag.NodeID, AllocState) {
+	batch, state, err := s.allocateBatch(k, "")
+	if err != nil {
+		return nil, AllocEmpty
+	}
+	return batch, state
+}
 
-func (s *Server) allocateBatch(k int, actor string) ([]dag.NodeID, AllocState) {
+// allocateBatch fails only with an unavailable error (errKilled or
+// errJournalFailed): the incarnation was dead or wounded, or this
+// request's own journal batch failed, and then nothing is granted.
+func (s *Server) allocateBatch(k int, actor string) ([]dag.NodeID, AllocState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.unavailableLocked() != nil {
-		return nil, AllocEmpty // not a stall: the incarnation is dead or wounded
+	if err := s.unavailableLocked(); err != nil {
+		return nil, AllocEmpty, err
 	}
 	held := time.Now()
 	batch, state := s.allocateBatchLocked(k, actor)
+	err := s.walFlushLocked()
 	s.maybeSnapshotLocked()
 	s.m.lockHold.Observe(time.Since(held).Seconds())
-	return batch, state
+	if err != nil {
+		return nil, AllocEmpty, err
+	}
+	return batch, state, nil
 }
 
 // allocateBatchLocked grants up to k tasks with one clock read for the
@@ -1127,9 +1153,13 @@ func (s *Server) report(done, failed []dag.NodeID, actor string) (BatchReport, e
 	if err := s.unavailableLocked(); err != nil {
 		return BatchReport{}, err
 	}
-	defer s.maybeSnapshotLocked()
-	defer s.syncGaugesLocked()
-	return s.reportLocked(done, failed, actor)
+	rep, err := s.reportLocked(done, failed, actor)
+	if ferr := s.walFlushLocked(); ferr != nil {
+		err = ferr
+	}
+	s.maybeSnapshotLocked()
+	s.syncGaugesLocked()
+	return rep, err
 }
 
 // ReportAllocate acks a report batch and, under the same single lock
@@ -1150,11 +1180,18 @@ func (s *Server) reportAllocate(done, failed []dag.NodeID, k int, actor string) 
 	}
 	held := time.Now()
 	rep, err := s.reportLocked(done, failed, actor)
+	var batch []dag.NodeID
+	state := AllocEmpty
+	if err == nil {
+		batch, state = s.allocateBatchLocked(k, actor)
+	}
+	if ferr := s.walFlushLocked(); ferr != nil {
+		err = ferr
+	}
 	if err != nil {
 		s.syncGaugesLocked()
 		return rep, nil, AllocEmpty, err
 	}
-	batch, state := s.allocateBatchLocked(k, actor)
 	s.maybeSnapshotLocked()
 	s.m.lockHold.Observe(time.Since(held).Seconds())
 	return rep, batch, state, nil
@@ -1285,6 +1322,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.wal != nil && !s.killed {
 		if err == nil {
 			s.walAppendLocked(wal.KindDrain, -1, 0)
+			_ = s.walFlushLocked() // a failed write lands in s.walErr
 			err = s.walErr
 		}
 		if cerr := s.wal.Close(); err == nil {

@@ -268,7 +268,7 @@ func (c *Coordinator) reconcile() error {
 		sources = append(sources, u)
 	}
 	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	appended := false
+	var recs []wal.Record
 	for _, u := range sources {
 		if c.forwarded[u] {
 			continue
@@ -277,13 +277,14 @@ func (c *Coordinator) reconcile() error {
 			continue
 		}
 		c.forwarded[u] = true
-		appended = true
-		if _, err := c.busLog.Append(wal.Record{Epoch: c.busEpoch, Kind: wal.KindArc, Task: int64(u)}); err != nil {
-			return fmt.Errorf("shard: bus reconcile: %w", err)
-		}
+		recs = append(recs, wal.Record{Epoch: c.busEpoch, Kind: wal.KindArc, Task: int64(u)})
 	}
-	if appended {
-		if err := c.busLog.Sync(); err != nil {
+	if len(recs) > 0 {
+		_, err := c.busLog.AppendBatch(recs)
+		if err == nil {
+			err = c.busLog.Sync()
+		}
+		if err != nil {
 			return fmt.Errorf("shard: bus reconcile: %w", err)
 		}
 	}
@@ -331,7 +332,7 @@ func (c *Coordinator) pumpLoop() {
 
 // Pump drains the forwarding bus: pending boundary completions are
 // deduplicated against the forwarded set, journaled as one KindArc
-// batch (single group-commit sync), and turned into eligibility
+// batch (one AppendBatch write, then one sync), and turned into eligibility
 // credits on their destination shards.  Safe to call concurrently
 // with the async pump; when Pump returns, every completion enqueued
 // before the call has been delivered — deterministic harnesses rely
@@ -362,12 +363,11 @@ func (c *Coordinator) Pump() {
 			return
 		}
 		if log != nil {
-			var err error
-			for _, p := range fresh {
-				if _, err = log.Append(wal.Record{Epoch: c.busEpoch, Kind: wal.KindArc, Task: int64(p.task)}); err != nil {
-					break
-				}
+			recs := make([]wal.Record, len(fresh))
+			for i, p := range fresh {
+				recs[i] = wal.Record{Epoch: c.busEpoch, Kind: wal.KindArc, Task: int64(p.task)}
 			}
+			_, err := log.AppendBatch(recs)
 			if err == nil {
 				err = log.Sync()
 			}

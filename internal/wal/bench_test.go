@@ -89,3 +89,25 @@ func BenchmarkAppend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendBatch measures one task-server request's worth of
+// records (32: 16 completions + 16 grants) per write; an op here is
+// 32 ops of BenchmarkAppend.
+func BenchmarkAppendBatch(b *testing.B) {
+	l, _, err := Open(b.TempDir(), Options{SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	batch := make([]Record, 32)
+	for i := range batch {
+		batch[i] = Record{Epoch: 1, Kind: KindGrant, Task: int64(i), Attempt: 1}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.AppendBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

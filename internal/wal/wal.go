@@ -27,11 +27,15 @@
 // rotates to a fresh segment and older segments and snapshots are
 // deleted (compaction).
 //
-// Fsync policy is group commit: appends are durable-batched, with a
-// sync forced every SyncEvery records and at least every SyncInterval.
-// A process kill (SIGKILL) loses nothing that was written — the page
-// cache survives the process — so in-process crash harnesses recover
-// bit-exactly; fsync bounds the loss window for machine crashes.
+// Fsync policy is group commit: AppendBatch hands a caller's batch of
+// records (the task server's is one request's) to the OS in one write
+// and fsyncs at most once, when that write leaves SyncEvery or more
+// records unsynced; a background flusher syncs any dirty tail at least
+// every SyncInterval.  So whenever an append returns, fewer than
+// SyncEvery appended records are not yet durable.  A process kill
+// (SIGKILL) loses nothing that was written — the page cache survives
+// the process — so in-process crash harnesses recover bit-exactly;
+// fsync bounds the loss window for machine crashes.
 package wal
 
 import (
@@ -136,18 +140,20 @@ const frameLen = 8 + payloadLen
 // huge allocation; the fixed schema needs far less.
 const maxFrame = 1 << 16
 
+// encode appends r's frame to buf.  It frames in place: a stack array
+// handed to crc32 would escape, one heap allocation per record.
 func (r Record) encode(buf []byte) []byte {
-	var p [payloadLen]byte
+	buf = append(buf, make([]byte, frameLen)...)
+	f := buf[len(buf)-frameLen:]
+	p := f[8:]
 	binary.LittleEndian.PutUint64(p[0:], r.Seq)
 	binary.LittleEndian.PutUint64(p[8:], r.Epoch)
 	p[16] = byte(r.Kind)
 	binary.LittleEndian.PutUint64(p[17:], uint64(r.Task))
 	binary.LittleEndian.PutUint32(p[25:], r.Attempt)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p[:]))
-	buf = append(buf, hdr[:]...)
-	return append(buf, p[:]...)
+	binary.LittleEndian.PutUint32(f[0:], uint32(payloadLen))
+	binary.LittleEndian.PutUint32(f[4:], crc32.ChecksumIEEE(p))
+	return buf
 }
 
 func decodePayload(p []byte) (Record, error) {
@@ -214,7 +220,8 @@ func ReadRecords(r io.Reader) (recs []Record, consumed int64, err error) {
 // Options tunes the journal's group-commit and compaction policy.
 // The zero value gets sane defaults.
 type Options struct {
-	// SyncEvery forces an fsync after this many appends (default 64).
+	// SyncEvery: fsync once a write leaves ≥ SyncEvery records unsynced
+	// (default 64; 1 makes every append durable before it returns).
 	SyncEvery int
 	// SyncInterval bounds how long an unsynced append may wait for the
 	// batch to fill (default 5ms); a background flusher enforces it.
@@ -253,7 +260,7 @@ type Log struct {
 	f         *os.File // active segment
 	buf       []byte   // encode scratch
 	nextSeq   uint64
-	unsynced  int  // appends since the last fsync
+	unsynced  int  // records appended since the last fsync
 	sinceSnap int  // records since the last snapshot
 	closed    bool // Close or Kill happened
 	flusherC  chan struct{}
@@ -441,31 +448,50 @@ func (l *Log) flusher() {
 var ErrClosed = fmt.Errorf("wal: log closed")
 
 // Append journals one record, assigning it the next sequence number
-// (returned in the copy).  The write lands in the OS immediately;
-// durability against machine crash follows the group-commit policy.
+// (returned in the copy): AppendBatch of one record.
 func (l *Log) Append(r Record) (Record, error) {
+	recs := [1]Record{r}
+	_, err := l.AppendBatch(recs[:])
+	return recs[0], err
+}
+
+// AppendBatch journals recs with one write: it stamps consecutive
+// sequence numbers into recs[i].Seq and encodes the whole batch into
+// the reused buffer.  It then fsyncs once if that write left SyncEvery
+// or more records unsynced, so when it returns nil fewer than SyncEvery
+// appended records are not yet durable.  last is the sequence number of
+// the batch's final record (NextSeq()-1 for an empty batch).
+func (l *Log) AppendBatch(recs []Record) (last uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return r, ErrClosed
+		return 0, ErrClosed
 	}
-	r.Seq = l.nextSeq
-	l.buf = r.encode(l.buf[:0])
+	if len(recs) == 0 {
+		return l.nextSeq - 1, nil
+	}
+	l.buf = l.buf[:0]
+	for i := range recs {
+		recs[i].Seq = l.nextSeq + uint64(i)
+		l.buf = recs[i].encode(l.buf)
+	}
 	if _, err := l.f.Write(l.buf); err != nil {
-		return r, fmt.Errorf("wal: %w", err)
+		return 0, fmt.Errorf("wal: %w", err)
 	}
-	l.nextSeq++
-	l.unsynced++
-	l.sinceSnap++
+	l.nextSeq += uint64(len(recs))
+	l.unsynced += len(recs)
+	l.sinceSnap += len(recs)
 	if l.opts.AppendObserver != nil {
-		l.opts.AppendObserver(len(l.buf))
+		for range recs {
+			l.opts.AppendObserver(frameLen)
+		}
 	}
 	if l.unsynced >= l.opts.SyncEvery {
 		if err := l.syncLocked(); err != nil {
-			return r, err
+			return 0, err
 		}
 	}
-	return r, nil
+	return l.nextSeq - 1, nil
 }
 
 // NextSeq returns the sequence number the next append will get.
@@ -582,8 +608,8 @@ func (l *Log) Close() error {
 }
 
 // Kill closes the journal abruptly, without a final fsync — the
-// in-process stand-in for SIGKILL.  Everything already written via
-// Append survives (the page cache outlives the process); only
+// in-process stand-in for SIGKILL.  Everything already written by an
+// append survives (the page cache outlives the process); only
 // fsync-batching state is dropped.  Further operations return
 // ErrClosed.
 func (l *Log) Kill() {

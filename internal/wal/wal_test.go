@@ -328,6 +328,81 @@ func TestKillLosesNothingWritten(t *testing.T) {
 	}
 }
 
+// TestAppendBatchBoundsUnsyncedRecords pins the machine-crash bound of
+// group commit: an FsyncObserver that stats the segment gives the
+// durable prefix, and whenever AppendBatch returns fewer than SyncEvery
+// records lie beyond it — so a copy cut at that prefix loses fewer than
+// SyncEvery records, none at SyncEvery 1 — after at most one fsync per
+// batch.  The records read back carry the stamped sequence numbers.
+func TestAppendBatchBoundsUnsyncedRecords(t *testing.T) {
+	for _, every := range []int{1, 4, 64} {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, segName(1))
+		var durable int64
+		fsyncs := 0
+		l, _, err := Open(dir, Options{SyncEvery: every, SyncInterval: time.Hour, SnapshotEvery: -1,
+			FsyncObserver: func(time.Duration) {
+				fsyncs++
+				fi, err := os.Stat(seg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				durable = fi.Size()
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Record
+		for _, n := range []int{1, 3, 7, 2, 31, 64, 5, 130, 1, 0} {
+			batch := make([]Record, n)
+			for i := range batch {
+				batch[i] = Record{Epoch: 1, Kind: KindGrant, Task: int64(len(want) + i), Attempt: 1}
+			}
+			before := fsyncs
+			last, err := l.AppendBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, batch...)
+			if last != uint64(len(want)) {
+				t.Fatalf("SyncEvery %d: batch of %d ends at seq %d, want %d", every, n, last, len(want))
+			}
+			if fsyncs-before > 1 {
+				t.Fatalf("SyncEvery %d: batch of %d ran %d fsyncs, want at most 1", every, n, fsyncs-before)
+			}
+			if unsynced := len(want) - int(durable/frameLen); unsynced >= every {
+				t.Fatalf("SyncEvery %d: %d records beyond the durable prefix", every, unsynced)
+			}
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed := t.TempDir()
+			if err := os.WriteFile(filepath.Join(crashed, segName(1)), data[:durable], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadAll(crashed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lost := len(want) - len(got.Records); lost >= every || (every == 1 && lost != 0) {
+				t.Fatalf("SyncEvery %d: a crash at the durable prefix loses %d records", every, lost)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Records, want) {
+			t.Fatalf("SyncEvery %d: read back %d records that differ from the %d stamped", every, len(got.Records), len(want))
+		}
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := Snapshot{
 		Seq: 42, Epoch: 3, Nodes: 130,
