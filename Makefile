@@ -6,7 +6,7 @@ MATCH = .github/scripts/run-matching.sh
 
 .PHONY: all build fmt vet test race bench cover figures experiments clean ci \
 	benchsmoke grantalloc observability wire oracle chaos journal jobs grantcore \
-	schedcache shard shardkill benchmark difftest stress fuzz
+	schedcache benchmark difftest stress fuzz
 
 all: build vet test
 
@@ -36,8 +36,7 @@ cover:
 # targets, and `make ci` runs them all in ci.yml's order, so a builder
 # without GitHub runs exactly what CI runs.  None needs the network.
 ci: fmt vet test race benchsmoke grantalloc observability wire oracle chaos \
-	journal jobs grantcore schedcache shard shardkill benchmark experiments \
-	difftest stress fuzz
+	journal jobs grantcore schedcache benchmark experiments difftest stress fuzz
 
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/opt
@@ -75,13 +74,6 @@ grantcore:
 schedcache:
 	$(MATCH) -race 'Canon|Cache|Replay|Cursor|Singleflight|Evict' ./internal/schedcache/ ./internal/icserver/ ./internal/wal/ ./internal/difftest/
 
-shard:
-	$(GO) test -race ./internal/shard/
-
-# Bus re-delivery, bit-identical recovery.
-shardkill:
-	$(GO) run ./cmd/icsched chaos -shardkill 2 -shards 3
-
 # The one benchmark lane: every BENCHMARK.json workload at smoke size,
 # failing only on its bit-for-bit correctness gate.
 benchmark:
@@ -90,9 +82,11 @@ benchmark:
 experiments:
 	$(GO) run ./cmd/icsched experiments
 
-# Cross-layer + theorem properties.
+# Cross-layer + theorem properties; Theorem 2.1 recombination of cut
+# dags (families, and the same 200 instances).
 difftest:
 	$(GO) run ./cmd/icsched difftest -seed 1 -n 200
+	$(MATCH) 'Recombin' ./internal/shard/ ./internal/difftest/
 
 stress:
 	$(MATCH) -race StressConcurrent ./internal/difftest/

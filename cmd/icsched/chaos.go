@@ -24,8 +24,6 @@ func cmdChaos(args []string) error {
 	traceOut := fs.String("trace", "", "write the task trace to this file (.json for chrome://tracing, .jsonl for raw events)")
 	batch := fs.Int("batch", 0, "use the batched protocol with this per-grant cap (0 = legacy protocol)")
 	kills := fs.Int("kills", 0, "additionally run the server-kill lane: SIGKILL/journal-restart the server this many times mid-run on a 32×32 wavefront")
-	shardKills := fs.Int("shardkill", 0, "additionally run the sharded-coordinator lane: kill/recover individual shards this many times mid-run on a 32×32 wavefront cut across -shards servers")
-	shardCount := fs.Int("shards", 4, "shard count for the -shardkill lane")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -58,15 +56,6 @@ func cmdChaos(args []string) error {
 	if *kills > 0 {
 		fmt.Printf("server-kill lane: %d SIGKILL/journal-restart cycles on a 32x32 wavefront\n", *kills)
 		rep, err := chaos.ServerKill(cfg, 32, *kills)
-		if err != nil {
-			return err
-		}
-		reports = append(reports, rep)
-	}
-	if *shardKills > 0 {
-		fmt.Printf("shard-kill lane: %d shard kill/recover cycles on a 32x32 wavefront across %d shards\n",
-			*shardKills, *shardCount)
-		rep, err := chaos.ShardKill(cfg, 32, *shardCount, *shardKills)
 		if err != nil {
 			return err
 		}

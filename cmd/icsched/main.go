@@ -92,9 +92,8 @@ commands:
   count <family> [size]       count legal vs IC-optimal schedules (exact oracle)
   batch <family> [size] [w]   plan batched allocation ([20]-style), greedy vs exact
   figures [dir]               write every paper figure as a DOT file (default ./figures)
-  serve [-pprof] [-wal DIR] [-shards K] <family> [size] [addr] run the HTTP task server (default :8080);
-                              -shards K cuts the dag across K shard servers behind one coordinator
-  chaos [-trace FILE] [-kills N] [-shardkill N -shards K] [seed]  fault-injection proof: all workloads under chaos, bit-checked
+  serve [-pprof] [-wal DIR] <family> [size] [addr]  run the HTTP task server (default :8080)
+  chaos [-trace FILE] [-kills N] [seed]  fault-injection proof: all workloads under chaos, bit-checked
   difftest [-seed S] [-n N]   differential test: exec vs icsim vs icserver + theorem properties
   experiments                 regenerate the EXPERIMENTS.md tables
 

@@ -30,7 +30,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	withPprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	walDir := fs.String("wal", "", "crash-safe mode: journal every state change to this directory and resume from it on restart")
-	numShards := fs.Int("shards", 0, "cut the dag into this many shard servers behind one coordinator (0/1 = single server); workers address shard i under /shard/<i>/")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,9 +48,6 @@ func cmdServe(args []string) error {
 	}
 	lease := time.Minute
 	order := sched.Complete(g, nonsinks)
-	if *numShards > 1 {
-		return serveSharded(g, order, f.name, size, addr, *numShards, *walDir, *withPprof, lease)
-	}
 	var srv *icserver.Server
 	if *walDir != "" {
 		srv, err = icserver.Recover(*walDir, g, heur.Static("IC-OPTIMAL", order),

@@ -132,7 +132,6 @@ type Report struct {
 	Monotonicity int // inequality (2.1) vs sum-dag profiles
 	Linearity    int // Theorem 2.1 on ▷-linear compositions
 	Cache        int // schedule cache: warm/cold bit-identity, iso-twin hit, near-miss miss (see cache.go)
-	Shard        int // sharded coordinator recombination bit-identity (see shard.go)
 	Failures     []Failure
 }
 
@@ -155,8 +154,8 @@ func (r Report) String() string {
 			b.WriteString(")")
 		}
 	}
-	fmt.Fprintf(&b, "\nproperties: oracle %d, duality %d, prio-duality %d, monotonicity %d, linearity %d, cache %d, shard %d",
-		r.Oracle, r.Duality, r.PrioDuality, r.Monotonicity, r.Linearity, r.Cache, r.Shard)
+	fmt.Fprintf(&b, "\nproperties: oracle %d, duality %d, prio-duality %d, monotonicity %d, linearity %d, cache %d",
+		r.Oracle, r.Duality, r.PrioDuality, r.Monotonicity, r.Linearity, r.Cache)
 	fmt.Fprintf(&b, "\nfailures: %d", len(r.Failures))
 	for _, f := range r.Failures {
 		fmt.Fprintf(&b, "\n  instance %d (%s, %d nodes): %s", f.Index, f.Shape, f.Nodes, f.Err)
@@ -259,13 +258,6 @@ func checkInstance(rng *rand.Rand, inst instance, cfg Config, rep *Report, scr *
 		return fmt.Errorf("cache: %w", err)
 	}
 	rep.Cache++
-
-	// Sharded lane: the partitioned coordinator's recombined run must be
-	// bit-identical to the single-server run (Theorem 2.1 composition).
-	if err := checkShard(g, order, want, ref, rng); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	rep.Shard++
 
 	// Theory properties.
 	if lat != nil {

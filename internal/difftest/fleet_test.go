@@ -15,7 +15,6 @@ import (
 	"icsched/internal/dag"
 	"icsched/internal/icserver"
 	"icsched/internal/jobs"
-	"icsched/internal/shard"
 )
 
 // reply is one scripted response.  A wireScript answers requests
@@ -72,15 +71,13 @@ func failOnce(v dag.NodeID) func(dag.NodeID) error {
 }
 
 // TestWireSequenceGolden pins, byte for byte, the request sequence each
-// of the four client flavours emits against a scripted server that
+// of the three client flavours emits against a scripted server that
 // walks it through full, short and empty grants, an idle poll, a 503
 // retry, a typed 409 stale-epoch resync, a hand-back and the terminal
-// state — and for the shard flavour a dry home shard (a steal), a shard
-// down past the retry budget (skipped, then its unacked batch dropped)
-// and both terminals (410 and "finished").  The want tables were
-// captured from the clients as they stood before the three private
-// loops were folded into the one worker engine; they are the contract
-// that the fold changed no wire byte and no request order.
+// state.  The want tables were captured from the clients as they stood
+// before their private loops were folded into the one worker engine;
+// they are the contract that the fold — and the engine's later collapse
+// to a single service URL — changed no wire byte and no request order.
 func TestWireSequenceGolden(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {
@@ -169,46 +166,6 @@ func TestWireSequenceGolden(t *testing.T) {
 			stats:   "{Completed:3 Failed:1 Batches:4 IdlePolls:1 Retries:1 Resyncs:1 JobsFinished:1}",
 			stopped: true,
 		},
-		{
-			name: "shard-worker",
-			replies: []reply{
-				// Sweep 1 (home 1, then 2, then 0): home dry, steal from 2.
-				{200, `{"tasks":[],"epoch":1}`},
-				{200, `{"tasks":[{"task":5,"name":"s2t5","epoch":1}],"epoch":1}`},
-				{200, `{` + ackSummary + `,"epoch":1}`},
-				// Sweep 2: home down past the budget (2 tries) → skipped;
-				// shard 2 grants again, then dies holding the unacked batch.
-				{503, unavailable503},
-				{503, unavailable503},
-				{200, `{"tasks":[{"task":6,"name":"s2t6","epoch":1},{"task":7,"name":"s2t7","epoch":1}],"epoch":1}`},
-				{503, unavailable503},
-				{503, unavailable503},
-				// ...so the sweep goes on to shard 0: dry.  Idle.
-				{200, `{"tasks":[],"epoch":1}`},
-				// Sweep 3: home back after one 503; its ack is fenced, the
-				// resync reads /shard/1/status, the re-sent ack is terminal.
-				{503, unavailable503},
-				{200, `{"tasks":[{"task":0,"name":"s1t0","epoch":1}],"epoch":1}`},
-				{409, `{"error":"stale epoch","epoch":2}`},
-				{200, `{"total":1,"completed":0,"epoch":2}`},
-				{200, `{` + ackSummary + `,"finished":true,"epoch":2}`},
-				// Sweep 4: shard 2 is gone (410), shard 0 grants; the failed
-				// task comes back on the piggyback and the next ack is terminal.
-				{410, ``},
-				{200, `{"tasks":[{"task":9,"name":"s0t9","epoch":1}],"epoch":1}`},
-				{200, `{` + ackSummary + `,"tasks":[{"task":9,"name":"s0t9","epoch":1}],"epoch":1}`},
-				{200, `{` + ackSummary + `,"finished":true,"epoch":1}`},
-			},
-			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
-				fail := failOnce(9)
-				w := &shard.Worker{BaseURL: url, Shards: 3, Home: 1, ID: "golden", Seed: 1, IdleWait: ms, RetryWait: ms,
-					MaxAttempts: 2, Compute: func(_ int, v dag.NodeID, _ string) error { return fail(v) }}
-				st, err := w.Run(ctx)
-				return fmt.Sprintf("%+v", st), err
-			},
-			want:  goldenShard,
-			stats: "{Completed:3 Failed:1 Batches:5 Steals:2 IdlePolls:1 Retries:3 Resyncs:1 Dropped:2}",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,27 +236,6 @@ var goldenJobs = []string{
 	`POST /report {"job":"j2","epoch":5,"done":[2],"k":2}`,
 }
 
-var goldenShard = []string{
-	`POST /shard/1/tasks {"k":1}`,
-	`POST /shard/2/tasks {"k":1}`,
-	`POST /shard/2/report {"done":[5],"failed":null,"k":2,"epoch":1}`,
-	`POST /shard/1/tasks {"k":1}`,
-	`POST /shard/1/tasks {"k":1}`,
-	`POST /shard/2/tasks {"k":2}`,
-	`POST /shard/2/report {"done":[6,7],"failed":null,"k":4,"epoch":1}`,
-	`POST /shard/2/report {"done":[6,7],"failed":null,"k":4,"epoch":1}`,
-	`POST /shard/0/tasks {"k":1}`,
-	`POST /shard/1/tasks {"k":1}`,
-	`POST /shard/1/tasks {"k":1}`,
-	`POST /shard/1/report {"done":[0],"failed":null,"k":2,"epoch":1}`,
-	`GET /shard/1/status`,
-	`POST /shard/1/report {"done":[0],"failed":null,"k":2,"epoch":2}`,
-	`POST /shard/2/tasks {"k":4}`,
-	`POST /shard/0/tasks {"k":1}`,
-	`POST /shard/0/report {"done":null,"failed":[9],"k":2,"epoch":1}`,
-	`POST /shard/0/report {"done":[9],"failed":null,"k":2,"epoch":1}`,
-}
-
 // fleetFlavours builds one worker of each client flavour against url,
 // for the tests that hold all of them to one contract.
 var fleetFlavours = []struct {
@@ -318,16 +254,12 @@ var fleetFlavours = []struct {
 		_, err := (&jobs.Client{BaseURL: url, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
 		return err
 	}},
-	{"shard-worker", func(ctx context.Context, url string, seed int64) error {
-		_, err := (&shard.Worker{BaseURL: url + "/x", Shards: 1, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
-		return err
-	}},
 }
 
 // TestUnseededWorkersRaceFree runs two Seed: 0 workers of every flavour
-// against a server that never has work, so all eight draw their default
+// against a server that never has work, so all six draw their default
 // seed and jitter concurrently.  Under -race this pins that default
-// seeds come from one atomic counter (the shard worker's used to be a
+// seeds come from one atomic counter (one client type's used to be a
 // plain package variable bumped under a per-worker lock).
 func TestUnseededWorkersRaceFree(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -366,7 +298,6 @@ func TestResyncEpochContract(t *testing.T) {
 		"icserver-batched": {`{"tasks":[{"task":0,"name":"t0","epoch":1}],"epoch":1}`, `{"epoch":7}`},
 		"icserver-legacy":  {`{"task":0,"name":"t0","epoch":1}`, `{"epoch":7}`},
 		"jobs":             {`{"job":"j1","epoch":1,"tasks":[{"task":0,"name":"t0"}]}`, `{"jobs":[{"job":"j0","epoch":3},{"job":"j1","epoch":7}]}`},
-		"shard-worker":     {`{"tasks":[{"task":0,"name":"t0","epoch":1}],"epoch":1}`, `{"epoch":7}`},
 	}
 	cases := []struct {
 		name      string

@@ -95,14 +95,14 @@ type Stats struct {
 
 // Run loops until the computation finishes, the context is cancelled,
 // retries are exhausted, or Compute crashes.  With Batch > 0 it is the
-// Engine on one endpoint; otherwise the legacy one-task-per-round-trip
-// loop on the engine's helpers.
+// Engine; otherwise the legacy one-task-per-round-trip loop on the
+// engine's helpers.
 func (c *Client) Run(ctx context.Context) (Stats, error) {
-	e := Engine{Endpoints: []string{c.BaseURL}, Batch: c.Batch, HTTP: c.HTTP, ID: c.ID, Seed: c.Seed,
+	e := Engine{BaseURL: c.BaseURL, Batch: c.Batch, HTTP: c.HTTP, ID: c.ID, Seed: c.Seed,
 		IdleWait: c.IdleWait, IdleWaitMax: c.IdleWaitMax, RetryWait: c.RetryWait, RetryWaitMax: c.RetryWaitMax,
 		MaxAttempts: c.MaxAttempts}
 	if c.Compute != nil {
-		e.Compute = func(_ int, _ string, task dag.NodeID, name string) error { return c.Compute(task, name) }
+		e.Compute = func(_ string, task dag.NodeID, name string) error { return c.Compute(task, name) }
 	}
 	var err error
 	if c.Batch > 0 {
@@ -121,13 +121,12 @@ func (c *Client) Run(ctx context.Context) (Stats, error) {
 // backoff, compute and the fenced re-send are the engine's.
 func (e *Engine) runSingle(ctx context.Context) error {
 	e.init()
-	base := e.Endpoints[0]
 	idle := e.IdleWait
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		code, body, err := e.postRetry(ctx, base+"/task", nil)
+		code, body, err := e.postRetry(ctx, e.BaseURL+"/task", nil)
 		if err != nil {
 			return err
 		}
@@ -149,7 +148,7 @@ func (e *Engine) runSingle(ctx context.Context) error {
 			return fmt.Errorf("icserver client: %w", err)
 		}
 		g := Grant{Epoch: task.Epoch, Tasks: []taskResponse{task}}
-		done, failed, err := e.compute(0, g)
+		done, failed, err := e.compute(g)
 		if err != nil {
 			return err
 		}
@@ -157,7 +156,7 @@ func (e *Engine) runSingle(ctx context.Context) error {
 		if len(failed) > 0 {
 			path = "/failed"
 		}
-		if _, err := e.report(ctx, base, path, &g, func() any { return doneRequest{Task: task.Task, Epoch: g.Epoch} }); err != nil {
+		if _, err := e.report(ctx, path, &g, func() any { return doneRequest{Task: task.Task, Epoch: g.Epoch} }); err != nil {
 			return err
 		}
 		e.stats.Completed += len(done)

@@ -16,32 +16,29 @@ import (
 	"icsched/internal/dag"
 )
 
-// Engine is the one batched worker loop every fleet client runs: ask an
-// endpoint for up to k tasks, compute the grant, ack it — completions and
+// Engine is the one batched worker loop every fleet client runs: ask the
+// service for up to k tasks, compute the grant, ack it — completions and
 // hand-backs mixed — in one report that piggybacks the next ask, so the
 // steady state is ONE round trip (and one server lock acquisition) per
-// batch.  The public clients (Client here, jobs.Client, shard.Worker) are
-// its configurations: each names an endpoint set and a Dialect, nothing
-// else.  An Engine runs once.
+// batch.  The public clients (Client here, jobs.Client) are its two
+// configurations: each names a service and a Dialect, nothing else.  An
+// Engine runs once.
 //
 // Transport errors and 5xx are retried with capped exponential backoff
 // and seeded jitter; a typed 409 stale-epoch ack is resynced and re-sent
-// under the endpoint's current epoch; ErrCrash from Compute abandons the
+// under the service's current epoch; ErrCrash from Compute abandons the
 // whole unreported grant, which lease expiry recovers.
 type Engine struct {
-	// Endpoints are the base URLs serving POST /tasks, POST /report and
-	// GET /status, home first.  Every sweep polls them in order and goes
-	// back to the first after any batch, so work found further down the
-	// list is a steal.  Of several endpoints, one that stays unreachable
-	// past the retry budget is skipped and retried next sweep; when the
-	// only endpoint does, the run ends with that error.
-	Endpoints []string
+	// BaseURL is the service serving POST /tasks, POST /report and GET
+	// /status.  A request that stays unanswered past the retry budget
+	// ends the run with that error.
+	BaseURL string
 	// Dialect encodes acks and decodes their replies (nil: this package's
 	// own /tasks + /report wire).
 	Dialect Dialect
-	// Compute executes one task granted by Endpoints[endpoint]; job names
-	// the grant's job on a job service.  Nil completes every task.
-	Compute func(endpoint int, job string, task dag.NodeID, name string) error
+	// Compute executes one granted task; job names the grant's job on a
+	// job service.  Nil completes every task.
+	Compute func(job string, task dag.NodeID, name string) error
 	// Batch caps the adaptive ask (see nextAsk).
 	Batch int
 	// The rest are the public clients' fields of the same names; init
@@ -65,12 +62,10 @@ type EngineStats struct {
 	Completed    int // tasks computed and acked done
 	Failed       int // tasks handed back after a Compute error
 	Batches      int // non-empty grants computed
-	Steals       int // of those, grants that came from a non-home endpoint
-	IdlePolls    int // sweeps that found nothing to do anywhere
+	IdlePolls    int // polls that found nothing to do
 	Retries      int // transient request failures retried
 	Resyncs      int // stale-epoch rejections resynced
 	JobsFinished int // acks that said the acked job reached its terminal state
-	Dropped      int // computed tasks abandoned unacked on an endpoint that stayed down
 }
 
 // Dialect is what differs between the services a fleet talks to.  Asks
@@ -101,9 +96,6 @@ type Grant struct {
 // therefore backs off identically on every run, and no two unseeded
 // workers — of whichever client type — share a jitter stream.
 var engineSeq atomic.Int64
-
-// errEndpointDown marks a request that exhausted its retry budget.
-var errEndpointDown = errors.New("endpoint unreachable")
 
 // init applies the backoff defaults and seeds the jitter rng, once.
 func (e *Engine) init() {
@@ -190,132 +182,92 @@ func nextAsk(ask, granted, limit int) int {
 	return ask
 }
 
-// endpoint is the engine's per-URL state.
-type endpoint struct {
-	url      string
-	ask      int
-	finished bool
-}
-
-// Run works the loop until every endpoint has reported its terminal state
-// (a job service never does), ctx is cancelled, Compute returns ErrCrash,
-// or a request fails for good.
+// Run works the loop until the service reports its terminal state (a job
+// service never does), ctx is cancelled, Compute returns ErrCrash, or a
+// request fails for good.
 func (e *Engine) Run(ctx context.Context) (EngineStats, error) {
 	e.init()
-	eps := make([]endpoint, len(e.Endpoints))
-	for i, url := range e.Endpoints {
-		eps[i] = endpoint{url: url, ask: 1}
-	}
-	open := len(eps)
+	ask := 1
 	idle := e.IdleWait
-	for open > 0 {
+	for {
 		if err := ctx.Err(); err != nil {
 			return e.stats, err
 		}
-		progressed := false
-		for i := range eps {
-			ep := &eps[i]
-			if ep.finished {
-				continue
-			}
-			moved, err := e.drain(ctx, i, ep)
-			if ep.finished {
-				open--
-			}
-			if errors.Is(err, errEndpointDown) && len(eps) > 1 {
-				continue // killed or mid-recovery: try the others, come back next sweep
-			}
-			if err != nil {
-				return e.stats, err
-			}
-			if moved {
-				if i != 0 {
-					e.stats.Steals++
-				}
-				progressed = true
-				break // back to home preference for the next batch
-			}
+		moved, finished, err := e.drain(ctx, &ask)
+		if err != nil || finished {
+			return e.stats, err
 		}
-		if progressed {
+		if moved {
 			idle = e.IdleWait
-		} else if open > 0 {
-			if err := e.pause(ctx, &idle); err != nil {
-				return e.stats, err
-			}
+		} else if err := e.pause(ctx, &idle); err != nil {
+			return e.stats, err
 		}
 	}
-	return e.stats, nil
 }
 
-// drain polls one endpoint for a grant and, for as long as its acks keep
-// piggybacking the next one, computes and acks batches there.  It reports
-// whether any batch was computed.
-func (e *Engine) drain(ctx context.Context, i int, ep *endpoint) (bool, error) {
-	code, body, err := e.postRetry(ctx, ep.url+"/tasks", tasksRequest{K: ep.ask})
+// drain polls the service for a grant and, for as long as its acks keep
+// piggybacking the next one, computes and acks batches.  It reports
+// whether any batch was computed and whether the service said it is
+// finished.
+func (e *Engine) drain(ctx context.Context, ask *int) (moved, finished bool, err error) {
+	code, body, err := e.postRetry(ctx, e.BaseURL+"/tasks", tasksRequest{K: *ask})
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	switch code {
 	case http.StatusGone:
-		ep.finished = true
-		return false, nil
+		return false, true, nil
 	case http.StatusOK:
 	default:
-		return false, fmt.Errorf("icserver worker: %s/tasks returned %d: %s", ep.url, code, body)
+		return false, false, fmt.Errorf("icserver worker: %s/tasks returned %d: %s", e.BaseURL, code, body)
 	}
 	var g Grant
 	if err := json.Unmarshal(body, &g); err != nil {
-		return false, fmt.Errorf("icserver worker: %s/tasks: %w", ep.url, err)
+		return false, false, fmt.Errorf("icserver worker: %s/tasks: %w", e.BaseURL, err)
 	}
 	if len(g.Tasks) == 0 {
-		ep.ask = nextAsk(ep.ask, 0, e.Batch)
-		return false, nil
+		*ask = nextAsk(*ask, 0, e.Batch)
+		return false, false, nil
 	}
 	// An empty piggybacked grant ends the loop with the ask as it stands:
 	// only an empty poll resets it.
 	for len(g.Tasks) > 0 {
 		if err := ctx.Err(); err != nil {
-			return true, err
+			return true, false, err
 		}
 		e.stats.Batches++
-		done, failed, err := e.compute(i, g)
+		done, failed, err := e.compute(g)
 		if err != nil {
-			return true, err
+			return true, false, err
 		}
-		ep.ask = nextAsk(ep.ask, len(g.Tasks), e.Batch)
-		body, err := e.report(ctx, ep.url, "/report", &g, func() any { return e.Dialect.Report(g, done, failed, ep.ask) })
+		*ask = nextAsk(*ask, len(g.Tasks), e.Batch)
+		body, err := e.report(ctx, "/report", &g, func() any { return e.Dialect.Report(g, done, failed, *ask) })
 		if err != nil {
-			if errors.Is(err, errEndpointDown) {
-				// The endpoint died holding the unacked batch: abandon it
-				// (lease expiry re-grants; completion is idempotent).
-				e.stats.Dropped += len(done) + len(failed)
-			}
-			return true, err
+			return true, false, err
 		}
 		e.stats.Completed += len(done)
 		e.stats.Failed += len(failed)
 		next, finished, jobFinished, err := e.Dialect.Ack(body)
 		if err != nil {
-			return true, fmt.Errorf("icserver worker: %s/report: %w", ep.url, err)
+			return true, false, fmt.Errorf("icserver worker: %s/report: %w", e.BaseURL, err)
 		}
 		if jobFinished {
 			e.stats.JobsFinished++
 		}
 		if finished {
-			ep.finished = true
-			return true, nil
+			return true, true, nil
 		}
 		g = next
 	}
-	return true, nil
+	return true, false, nil
 }
 
 // compute runs every task of g, sorting them into the done and failed
 // lists of its report; ErrCrash from Compute stops it cold.
-func (e *Engine) compute(i int, g Grant) (done, failed []dag.NodeID, err error) {
+func (e *Engine) compute(g Grant) (done, failed []dag.NodeID, err error) {
 	for _, t := range g.Tasks {
 		if e.Compute != nil {
-			if err := e.Compute(i, g.Job, t.Task, t.Name); errors.Is(err, ErrCrash) {
+			if err := e.Compute(g.Job, t.Task, t.Name); errors.Is(err, ErrCrash) {
 				return nil, nil, err
 			} else if err != nil {
 				failed = append(failed, t.Task)
@@ -333,8 +285,8 @@ func (e *Engine) compute(i int, g Grant) (done, failed []dag.NodeID, err error) 
 // server applies it (the tasks came back requeued) or absorbs it as
 // idempotent duplicates (journaled before the crash).  It returns the
 // 200 reply.
-func (e *Engine) report(ctx context.Context, base, path string, g *Grant, encode func() any) ([]byte, error) {
-	url := base + path
+func (e *Engine) report(ctx context.Context, path string, g *Grant, encode func() any) ([]byte, error) {
+	url := e.BaseURL + path
 	for try := 1; ; try++ {
 		code, body, err := e.postRetry(ctx, url, encode())
 		if err != nil {
@@ -349,7 +301,7 @@ func (e *Engine) report(ctx context.Context, base, path string, g *Grant, encode
 		if try >= e.MaxAttempts {
 			return nil, fmt.Errorf("icserver worker: %s kept hitting stale epochs after %d resyncs", url, try)
 		}
-		if err := e.resync(ctx, base, g, body); err != nil {
+		if err := e.resync(ctx, g, body); err != nil {
 			return nil, err
 		}
 	}
@@ -366,13 +318,13 @@ func isStaleEpoch(code int, body []byte) bool {
 }
 
 // resync refreshes g's fencing epoch after a stale-epoch rejection: per
-// protocol from the endpoint's GET /status, falling back to the epoch
+// protocol from the service's GET /status, falling back to the epoch
 // carried in the rejection body when /status is unreachable or silent
 // (the server may be mid-restart again).  With neither, the report must
 // not go out again — an epoch of 0 would pass unfenced.
-func (e *Engine) resync(ctx context.Context, base string, g *Grant, rejection []byte) error {
+func (e *Engine) resync(ctx context.Context, g *Grant, rejection []byte) error {
 	e.stats.Resyncs++
-	if _, status, err := do(ctx, e.HTTP, http.MethodGet, base+"/status", nil, ""); err == nil {
+	if _, status, err := do(ctx, e.HTTP, http.MethodGet, e.BaseURL+"/status", nil, ""); err == nil {
 		if epoch := e.Dialect.Epoch(status, *g); epoch != 0 {
 			g.Epoch = epoch
 			return nil
@@ -392,7 +344,7 @@ func (e *Engine) resync(ctx context.Context, base string, g *Grant, rejection []
 // postRetry POSTs payload (nil: no body) as JSON, retrying transport
 // errors and 5xx — including the typed 503 of a server mid-recovery —
 // with capped exponential backoff + jitter.  It returns the first
-// conclusive status, or errEndpointDown once attempts are exhausted.
+// conclusive status, or an error once attempts are exhausted.
 func (e *Engine) postRetry(ctx context.Context, url string, payload any) (int, []byte, error) {
 	var body []byte
 	if payload != nil {
@@ -424,7 +376,7 @@ func (e *Engine) postRetry(ctx context.Context, url string, payload any) (int, [
 			return code, resp, nil
 		}
 	}
-	return 0, nil, fmt.Errorf("icserver worker: %w: %s failed after %d attempts: %w", errEndpointDown, url, e.MaxAttempts, lastErr)
+	return 0, nil, fmt.Errorf("icserver worker: %s failed after %d attempts: %w", url, e.MaxAttempts, lastErr)
 }
 
 // do sends one request and reads the whole response.

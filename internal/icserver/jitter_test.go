@@ -7,7 +7,7 @@ import (
 )
 
 // The jitter rng lives in the Engine every fleet client runs, so these
-// properties hold for icserver.Client, jobs.Client and shard.Worker alike.
+// properties hold for icserver.Client and jobs.Client alike.
 
 // TestJitterSeedReplay is the determinism half of the jitter fix: two
 // engines with the same Seed must produce identical backoff sequences.

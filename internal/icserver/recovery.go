@@ -141,7 +141,7 @@ func Recover(dir string, g *dag.Dag, policy heur.Policy, wopts wal.Options, opts
 	s.wal = l
 	fresh := rec.Snap == nil && len(rec.Records) == 0
 	if fresh {
-		s.offerLocked(s.st.Eligible())
+		s.inst.Offer(s.st.Eligible())
 	} else {
 		s.epoch = fold.Epoch + 1
 		if err := s.restoreFold(fold); err != nil {
@@ -205,17 +205,13 @@ func (s *Server) restoreFold(fold *wal.Snapshot) error {
 	}
 	// The policy pool gets exactly the never-granted ELIGIBLE tasks: the
 	// granted-but-unfinished ones live in the requeue (as on the live
-	// server, where the policy emitted them already).  Requeued tasks
-	// bypass the external-dependency gate on purpose: a task that was
-	// ever granted had every external parent completed (and those
-	// completions are durable on their own shards), so re-granting it
-	// before the coordinator re-credits is safe.
+	// server, where the policy emitted them already).
 	var offer []dag.NodeID
 	for _, v := range s.st.Eligible() {
 		if !queued.has(v) && !s.quarantined.has(v) {
 			offer = append(offer, v)
 		}
 	}
-	s.offerLocked(offer)
+	s.inst.Offer(offer)
 	return nil
 }

@@ -153,23 +153,6 @@ type Server struct {
 	cursorDirty bool  // first-time grants since the last cursor record
 	lastCursor  int64 // cursor as of the last journaled cursor record
 
-	// External-dependency gate (nil extNeed = unsharded server).  See
-	// extdeps.go: a task with outstanding cross-shard credits is held
-	// back in extHeld when the scheduler offers it, and released by
-	// Credit; extCredited makes credit delivery idempotent per
-	// (task, source) pair.
-	extNeed     []int32 // outstanding external parents per task
-	extHeld     nodeSet
-	extCredited map[extCredit]bool
-
-	// completionHook, when set, observes every first-time completion
-	// (after its record is appended to the request's batch, which is
-	// written before s.mu is released) — the composition point the sharded
-	// coordinator (internal/shard) uses to turn completions into
-	// cross-shard eligibility credits.  Called under s.mu: it must not
-	// call back into this server.
-	completionHook func(dag.NodeID)
-
 	reg        *obs.Registry // always non-nil; serves GET /metrics
 	trace      *obs.Trace    // optional task-trace recorder
 	traceEnded bool          // run-end recorded
@@ -306,16 +289,6 @@ func WithTrace(tr *obs.Trace) Option {
 	return func(s *Server) { s.trace = tr }
 }
 
-// WithCompletionHook observes every first-time completion, after the
-// completion's record is appended (it is written before the scheduler
-// lock is released) and the newly-eligible packet offered.  The
-// hook runs under the scheduler lock and MUST NOT call back into the
-// server; keep it to an enqueue (the sharded coordinator forwards the
-// completion to other shards from its own goroutine).
-func WithCompletionHook(h func(dag.NodeID)) Option {
-	return func(s *Server) { s.completionHook = h }
-}
-
 // newCore builds the server skeleton shared by New and Recover: struct,
 // options, metrics, clock — but no policy offer, no trace events, and
 // no journal.
@@ -350,7 +323,7 @@ func newCore(g *dag.Dag, policy heur.Policy, opts ...Option) *Server {
 // or recovered — use Recover.
 func New(g *dag.Dag, policy heur.Policy, opts ...Option) *Server {
 	s := newCore(g, policy, opts...)
-	s.offerLocked(s.st.Eligible())
+	s.inst.Offer(s.st.Eligible())
 	s.syncGaugesLocked()
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseRunStart, Task: -1, Actor: "server",
@@ -943,11 +916,9 @@ func (s *Server) allocateOneLocked(now int64, actor string) (dag.NodeID, AllocSt
 	}
 	v, ok := s.inst.Next()
 	if !ok {
-		if s.leased.len() == 0 && s.quarantined.len() > 0 && s.extHeld.len() == 0 {
+		if s.leased.len() == 0 && s.quarantined.len() > 0 {
 			// Nothing in flight and nothing allocatable: every remaining
 			// task is quarantined or blocked behind one.  Terminal.
-			// (A task held behind a cross-shard credit is progress another
-			// shard will unlock, so it suppresses the degraded verdict.)
 			s.degraded = true
 			s.recordRunEndLocked()
 			return 0, AllocFinished
@@ -1079,11 +1050,8 @@ func (s *Server) completeLocked(v dag.NodeID, actor string) (int, error) {
 		s.m.rescues.Inc()
 	}
 	s.walAppendLocked(wal.KindDone, v, 0)
-	s.offerLocked(packet)
+	s.inst.Offer(packet)
 	s.m.completions.Inc()
-	if s.completionHook != nil {
-		s.completionHook(v)
-	}
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseDone, Task: int(v), Name: s.g.Name(v),
 			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
@@ -1390,19 +1358,6 @@ func (s *Server) Status() Status {
 // Epoch returns this incarnation's fencing token (1 for a fresh run,
 // bumped once per Recover).
 func (s *Server) Epoch() uint64 { return s.epoch }
-
-// Completed reports whether task v has been completed (first-time done,
-// surviving recovery).  Out-of-range tasks report false.  The sharded
-// coordinator uses this to reconcile cross-shard credits after a
-// restart.
-func (s *Server) Completed(v dag.NodeID) bool {
-	if int(v) < 0 || int(v) >= s.g.NumNodes() {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st.IsExecuted(v)
-}
 
 // Finished reports whether the execution is terminal: every task
 // completed, or no further progress is possible (the remaining tasks are

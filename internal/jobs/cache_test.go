@@ -55,29 +55,6 @@ func TestCacheWarmHitArmsReplay(t *testing.T) {
 	}
 }
 
-// TestCacheShardedJobNeverReplays: a sharded job may reuse the cached
-// analysis but must keep per-task grant records — each shard journals
-// its own grants, which one job-level cursor cannot describe.
-func TestCacheShardedJobNeverReplays(t *testing.T) {
-	s := New(Config{})
-	defer closeServer(s)
-	h := newHarness(t, s)
-	sp := Spec{Tenant: "a", Family: "prefix", Size: 16}
-	specs := map[string]Spec{}
-	id1 := h.submit(sp)
-	specs[id1] = sp
-	spSharded := sp
-	spSharded.Shards = 2
-	id2 := h.submit(spSharded)
-	specs[id2] = spSharded
-	h.drain(2)
-	h.checkValues(specs)
-	st, _ := s.JobByID(id2)
-	if !st.CacheHit || st.Replay {
-		t.Fatalf("sharded repeat: cacheHit=%v replay=%v, want true/false", st.CacheHit, st.Replay)
-	}
-}
-
 // TestCacheIsoTwinHitsWithoutReplay: a relabeled raw payload of a seen
 // shape hits the cache (the translated order is legal and profile-equal)
 // but must NOT replay — the labeling differs, so recovery could not

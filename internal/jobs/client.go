@@ -19,7 +19,7 @@ import (
 // job, chosen by the server's weighted-fair policy.
 //
 // The loop itself — retry, backoff, adaptive ask, stale-epoch resync —
-// is icserver.Engine on this one endpoint; what is the job service's own
+// is icserver.Engine; what is the job service's own
 // is the dialect below: reports name their job, and a fenced report
 // resyncs to that job's epoch in the GET /status job list.
 type Client struct {
@@ -72,14 +72,11 @@ func (c *Client) Run(ctx context.Context) (ClientStats, error) {
 
 // engine configures the shared worker loop for the job service.
 func (c *Client) engine() *icserver.Engine {
-	e := &icserver.Engine{Endpoints: []string{c.BaseURL}, Dialect: dialect{}, Batch: c.Batch, HTTP: c.HTTP,
+	e := &icserver.Engine{BaseURL: c.BaseURL, Dialect: dialect{}, Compute: c.Compute, Batch: c.Batch, HTTP: c.HTTP,
 		ID: c.ID, Seed: c.Seed, IdleWait: c.IdleWait, IdleWaitMax: c.IdleWaitMax, RetryWait: c.RetryWait,
 		RetryWaitMax: c.RetryWaitMax, MaxAttempts: c.MaxAttempts}
 	if e.Batch <= 0 {
 		e.Batch = 8
-	}
-	if c.Compute != nil {
-		e.Compute = func(_ int, job string, task dag.NodeID, name string) error { return c.Compute(job, task, name) }
 	}
 	return e
 }

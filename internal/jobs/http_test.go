@@ -9,11 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"icsched/internal/dag"
+	"icsched/internal/icserver"
 )
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
@@ -91,6 +93,9 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 		// A body written for the removed k-relaxed grant path: the key is
 		// unknown now, the job is accepted and runs on the exact path.
 		json.RawMessage(`{"tenant": "b", "family": "wavefront", "size": 4, "relaxed": 4}`),
+		// Likewise a body written for the removed sharded jobs: one server
+		// runs it.
+		json.RawMessage(`{"tenant": "c", "family": "prefix", "size": 8, "shards": 3}`),
 	} {
 		submit(req)
 	}
@@ -167,7 +172,7 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/status", &raw); code != http.StatusOK {
 		t.Fatalf("GET /status -> %d", code)
 	}
-	if err := json.Unmarshal(raw, &st); err != nil || bytes.Contains(raw, []byte("relaxed")) {
+	if err := json.Unmarshal(raw, &st); err != nil || bytes.Contains(raw, []byte("relaxed")) || bytes.Contains(raw, []byte("shards")) {
 		t.Fatalf("GET /status: err %v, body %s", err, raw)
 	}
 	if st.Finished != len(specs) || len(st.Jobs) != len(specs) || len(st.Tenants) != 3 {
@@ -284,6 +289,137 @@ func TestHTTPTypedErrors(t *testing.T) {
 	var sum statusResponse
 	if code := getJSON(t, ts.URL+"/status", &sum); code != http.StatusOK || !sum.Draining {
 		t.Fatalf("draining /status -> %d %+v", code, sum)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestManifestWriteFailureRefuses severs the manifest under a live fleet,
+// as a failed write would.  Reports that need no manifest event still
+// land, but the /report that finishes the job needs its finish event, so
+// it — and every later submission and grant — gets the typed 503
+// journal-failed instead of an answer that pretends the job's end is
+// durable.  Recover on the directory then resumes from the manifest's
+// valid prefix and retires the job for good.
+func TestManifestWriteFailureRefuses(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Lease: time.Minute}
+	s, err := Recover(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sp := Spec{Tenant: "a", Family: "wavefront", Size: 8}
+	code, body := postJSON(t, ts.URL+"/jobs", sp)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /jobs -> %d: %s", code, body)
+	}
+	var job JobStatus
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := buildJob(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The fleet severs the manifest once it has computed half the dag, and
+	// its transport keeps every /report reply.
+	var mu sync.Mutex
+	vals := make([]uint64, g.NumNodes())
+	computed := 0
+	compute := func(_ string, v dag.NodeID, _ string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		vals[v] = fnvNodeValue(g, v, vals)
+		if computed++; computed == g.NumNodes()/2 {
+			s.mu.Lock()
+			s.man.kill()
+			s.mu.Unlock()
+		}
+		return nil
+	}
+	type reply struct {
+		code int
+		body []byte
+	}
+	var replies []reply
+	transport := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(r)
+		if err != nil || r.URL.Path != "/report" {
+			return resp, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		resp.Body = io.NopCloser(bytes.NewReader(data))
+		mu.Lock()
+		replies = append(replies, reply{resp.StatusCode, data})
+		mu.Unlock()
+		return resp, err
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const workers = 2
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl := &Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: transport}, Compute: compute, Batch: 4,
+				ID: fmt.Sprintf("w%d", w), Seed: int64(w + 1), MaxAttempts: 3,
+				IdleWait: 100 * time.Microsecond, RetryWait: time.Millisecond}
+			_, errs[w] = cl.Run(ctx)
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), icserver.ReasonJournalFailed) {
+			t.Fatalf("worker %d ended with %v, want the 503 journal-failed", w, err)
+		}
+	}
+
+	isJournalFailed := func(code int, body []byte) bool {
+		var u unavailableResponse
+		return code == http.StatusServiceUnavailable && json.Unmarshal(body, &u) == nil &&
+			u.Error == "unavailable" && u.Reason == icserver.ReasonJournalFailed
+	}
+	refused := 0
+	for _, r := range replies {
+		switch {
+		case r.code == http.StatusOK && bytes.Contains(r.body, []byte(`"jobFinished":true`)):
+			t.Fatalf("the job-finishing /report answered 200 without a durable finish event: %s", r.body)
+		case isJournalFailed(r.code, r.body):
+			refused++
+		case r.code != http.StatusOK:
+			t.Fatalf("/report -> %d: %s", r.code, r.body)
+		}
+	}
+	if st, _ := s.JobByID(job.Job); refused == 0 || st.State != StateFinished || st.Completed != st.Nodes {
+		t.Fatalf("%d /report replies refused, job %+v: want the job-finishing report refused", refused, st)
+	}
+	for path, req := range map[string]any{"/jobs": sp, "/tasks": allocRequest{K: 1}} {
+		if code, body := postJSON(t, ts.URL+path, req); !isJournalFailed(code, body) {
+			t.Fatalf("POST %s after the failed write -> %d: %s", path, code, body)
+		}
+	}
+
+	s.Kill()
+	s2, err := Recover(dir, cfg)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer closeServer(s2)
+	h := newHarness(t, s2)
+	h.track(job.Job, sp)
+	h.vals[job.Job] = vals
+	h.drain(4)
+	h.checkValues(map[string]Spec{job.Job: sp})
+	if st, _ := s2.JobByID(job.Job); st.State != StateFinished || st.Completed != st.Nodes || st.Epoch != 2 {
+		t.Fatalf("recovered job %+v, want finished at epoch 2", st)
 	}
 }
 

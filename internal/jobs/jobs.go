@@ -38,7 +38,6 @@ import (
 	"icsched/internal/icserver"
 	"icsched/internal/obs"
 	"icsched/internal/schedcache"
-	"icsched/internal/shard"
 	"icsched/internal/wal"
 
 	"encoding/json"
@@ -59,11 +58,6 @@ type Spec struct {
 	// Dag is a dagio JSON payload ({"nodes": n, "arcs": [[u,v],...]});
 	// such jobs are scheduled by the MAX-NEW-ELIGIBLE analysis.
 	Dag json.RawMessage `json:"dag,omitempty"`
-	// Shards > 1 cuts the job's dag into that many schedule-guided
-	// components executed by embedded shard servers with cross-shard arc
-	// forwarding (see internal/shard); 0/1 keeps the single-server core.
-	// Journaled with the spec, so a recovered job is re-cut identically.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Job states, as reported in JobStatus.
@@ -88,7 +82,7 @@ type Job struct {
 	cacheHit bool // analysis served from the schedule cache
 	replay   bool // steady-state replay: cursor-journaled cached order
 
-	srv taskCore // non-nil only while active
+	srv *icserver.Server // non-nil only while active
 
 	submittedAt time.Time
 	activatedAt time.Time
@@ -155,6 +149,7 @@ type Server struct {
 	cfg      Config
 	dir      string // "" = memory-only
 	man      *manifest
+	manErr   error // first manifest write failure; wounds the service
 	jobs     map[string]*Job
 	order    []*Job // submission order
 	tenants  map[string]*tenant
@@ -276,7 +271,7 @@ func Recover(dir string, cfg Config) (*Server, error) {
 			j := &Job{
 				id: ev.Job,
 				spec: Spec{Tenant: ev.Tenant, Weight: ev.Weight,
-					Family: ev.Family, Size: ev.Size, Dag: ev.Dag, Shards: ev.Shards},
+					Family: ev.Family, Size: ev.Size, Dag: ev.Dag},
 				state:       StateQueued,
 				submittedAt: time.Unix(0, ev.At),
 			}
@@ -355,13 +350,8 @@ func Recover(dir string, cfg Config) (*Server, error) {
 }
 
 // jobCore builds the per-job task server: memory-only under New,
-// journal-backed (fresh or replayed) under Recover.  Jobs with
-// Spec.Shards > 1 get the sharded coordinator core instead of a single
-// server.
-func (s *Server) jobCore(j *Job) (taskCore, error) {
-	if j.spec.Shards > 1 {
-		return newShardedCore(j, j.spec.Shards, s.dir, s.cfg)
-	}
+// journal-backed (fresh or replayed) under Recover.
+func (s *Server) jobCore(j *Job) (*icserver.Server, error) {
 	var policy heur.Policy
 	if j.replay {
 		policy = schedcache.Replay("IC-CACHED", j.order)
@@ -417,9 +407,9 @@ func (s *Server) builder() {
 // analyzer resolves each job's allocation order (the scheduling
 // analysis), still off the grant path.  The schedule cache turns the
 // analysis into a canonical-hash lookup for repeated shapes: a warm hit
-// skips the computation entirely, and an exact (same-labeling) hit on an
-// unsharded job additionally arms steady-state replay — grants become
-// cursor walks over the cached order.
+// skips the computation entirely, and an exact (same-labeling) hit
+// additionally arms steady-state replay — grants become cursor walks over
+// the cached order.
 func (s *Server) analyzer() {
 	defer s.wg.Done()
 	defer close(s.activateCh)
@@ -448,9 +438,8 @@ func (s *Server) analyzeCached(j *Job) error {
 	// Replay requires an exact-labeling entry: identity translation means
 	// the cached order is byte-for-byte what analyzeJob(g) re-derives, so
 	// a recovered incarnation folds the cursor journal against the very
-	// same order.  Sharded jobs journal per shard, which one job-level
-	// cursor cannot describe.
-	j.replay = j.spec.Shards <= 1 && res.Exact
+	// same order.
+	j.replay = res.Exact
 	return nil
 }
 
@@ -460,7 +449,7 @@ func (s *Server) activator() {
 	defer s.wg.Done()
 	for j := range s.activateCh {
 		s.mu.Lock()
-		if s.killed || s.draining {
+		if s.killed || s.draining || s.manErr != nil {
 			// Dropped from memory; the manifest still holds the submission,
 			// so a future Recover re-admits it.
 			s.mu.Unlock()
@@ -480,7 +469,9 @@ func (s *Server) activator() {
 		j.srv = srv
 		j.state = StateActive
 		j.activatedAt = s.now()
-		_ = s.man.append(manifestEvent{Event: "activate", At: j.activatedAt.UnixNano(),
+		// No request waits on the activator: a failed write only wounds
+		// the service (s.manErr), which refuses every later request.
+		_ = s.journalLocked(manifestEvent{Event: "activate", At: j.activatedAt.UnixNano(),
 			Job: j.id, Replay: j.replay})
 		t := s.tenantFor(j.spec.Tenant, j.spec.Weight)
 		if len(t.active) == 0 {
@@ -498,17 +489,50 @@ func (s *Server) activator() {
 }
 
 // failJobLocked marks a job rejected by build/analysis (caller holds
-// s.mu).
+// s.mu).  Like the activator it answers no request, so a failed manifest
+// write only wounds the service.
 func (s *Server) failJobLocked(j *Job, err error) {
 	j.state = StateFailed
 	j.errMsg = err.Error()
 	j.finishedAt = s.now()
 	t := s.tenantFor(j.spec.Tenant, 0)
 	t.queued--
-	_ = s.man.append(manifestEvent{Event: "finish", At: j.finishedAt.UnixNano(),
+	_ = s.journalLocked(manifestEvent{Event: "finish", At: j.finishedAt.UnixNano(),
 		Job: j.id, Error: j.errMsg})
 	s.m.failed.Inc()
 	s.syncGaugesLocked()
+}
+
+// refuseLocked is the availability check every request makes first
+// (caller holds s.mu).  A killed service refuses everything, and so does
+// one whose manifest failed a write: its job states may then be ahead of
+// the manifest.  Draining refuses only submissions and grants.
+func (s *Server) refuseLocked(grants bool) error {
+	switch {
+	case s.killed:
+		return UnavailableError{icserver.ReasonKilled}
+	case s.manErr != nil:
+		return UnavailableError{icserver.ReasonJournalFailed}
+	case grants && s.draining:
+		return UnavailableError{icserver.ReasonDraining}
+	}
+	return nil
+}
+
+// journalLocked appends one lifecycle event to the manifest (caller holds
+// s.mu).  The first failed write wounds the service, as a failed journal
+// batch wounds an icserver: the request that needed the event and every
+// later one get the typed 503 journal-failed, and nothing is appended
+// after the failure, so the manifest stays a valid prefix that Recover
+// resumes from.
+func (s *Server) journalLocked(ev manifestEvent) error {
+	if s.manErr == nil {
+		s.manErr = s.man.append(ev)
+	}
+	if s.manErr != nil {
+		return UnavailableError{icserver.ReasonJournalFailed}
+	}
+	return nil
 }
 
 // tenantFor returns (creating if needed) the tenant record; a positive
@@ -553,16 +577,10 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 	if sp.Weight < 0 {
 		return JobStatus{}, fmt.Errorf("jobs: negative weight %d", sp.Weight)
 	}
-	if sp.Shards < 0 || sp.Shards > shard.MaxShards {
-		return JobStatus{}, fmt.Errorf("jobs: shard count %d outside [0, %d]", sp.Shards, shard.MaxShards)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.killed {
-		return JobStatus{}, UnavailableError{icserver.ReasonKilled}
-	}
-	if s.draining {
-		return JobStatus{}, UnavailableError{icserver.ReasonDraining}
+	if err := s.refuseLocked(true); err != nil {
+		return JobStatus{}, err
 	}
 	t := s.tenantFor(sp.Tenant, sp.Weight)
 	if t.queued+len(t.active) >= s.cfg.MaxQueued {
@@ -575,17 +593,19 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 		state:       StateQueued,
 		submittedAt: s.now(),
 	}
-	if err := s.man.append(manifestEvent{Event: "submit", At: j.submittedAt.UnixNano(),
+	if err := s.journalLocked(manifestEvent{Event: "submit", At: j.submittedAt.UnixNano(),
 		Job: j.id, Tenant: sp.Tenant, Weight: sp.Weight,
-		Family: sp.Family, Size: sp.Size, Dag: sp.Dag, Shards: sp.Shards}); err != nil {
+		Family: sp.Family, Size: sp.Size, Dag: sp.Dag}); err != nil {
 		return JobStatus{}, err
 	}
 	select {
 	case s.buildCh <- j:
 	default:
 		s.m.backpressure.Inc()
-		_ = s.man.append(manifestEvent{Event: "finish", At: s.now().UnixNano(),
-			Job: j.id, Error: "jobs: build queue full"})
+		if err := s.journalLocked(manifestEvent{Event: "finish", At: s.now().UnixNano(),
+			Job: j.id, Error: "jobs: build queue full"}); err != nil {
+			return JobStatus{}, err
+		}
 		return JobStatus{}, BackpressureError{sp.Tenant}
 	}
 	s.nextID++
@@ -621,22 +641,20 @@ func (s *Server) Allocate(k int) (GrantSet, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.killed {
-		return GrantSet{}, UnavailableError{icserver.ReasonKilled}
-	}
-	if s.draining {
-		return GrantSet{}, UnavailableError{icserver.ReasonDraining}
+	if err := s.refuseLocked(true); err != nil {
+		return GrantSet{}, err
 	}
 	s.m.grantRequests.Inc()
-	return s.pickLocked(k), nil
+	return s.pickLocked(k)
 }
 
 // pickLocked implements stride scheduling across tenants (caller holds
 // s.mu): the tenant with the minimum pass (ties by name) that has
 // allocatable work wins, and its pass advances by granted/weight.  Jobs
 // within a tenant are drained in activation order; a job discovered
-// terminal during the scan is finalized on the spot.
-func (s *Server) pickLocked(k int) GrantSet {
+// terminal during the scan is finalized on the spot, and a failed write
+// of its finish event ends the scan with nothing granted.
+func (s *Server) pickLocked(k int) (GrantSet, error) {
 	tenants := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		if len(t.active) > 0 {
@@ -657,7 +675,9 @@ func (s *Server) pickLocked(k int) GrantSet {
 			}
 			batch, st := j.srv.AllocateBatch(k)
 			if st == icserver.AllocFinished {
-				s.finalizeJobLocked(j)
+				if err := s.finalizeJobLocked(j); err != nil {
+					return GrantSet{}, err
+				}
 				continue
 			}
 			if len(batch) == 0 {
@@ -671,16 +691,18 @@ func (s *Server) pickLocked(k int) GrantSet {
 			for i, v := range batch {
 				grant.Tasks[i] = TaskGrant{Task: v, Name: j.g.Name(v)}
 			}
-			return grant
+			return grant, nil
 		}
 	}
-	return GrantSet{Tasks: []TaskGrant{}}
+	return GrantSet{Tasks: []TaskGrant{}}, nil
 }
 
 // finalizeJobLocked retires a terminal job: terminal accounting frozen,
 // tenant bookkeeping advanced, finish journaled, and the job's own task
-// journal flushed and closed (caller holds s.mu).
-func (s *Server) finalizeJobLocked(j *Job) {
+// journal flushed and closed (caller holds s.mu).  The error is the
+// finish event's failed write; the job is retired in memory regardless,
+// and Recover finds it active with every task done and retires it again.
+func (s *Server) finalizeJobLocked(j *Job) error {
 	st := j.srv.Status()
 	j.nodes, j.completed, j.quarantined, j.epoch = st.Total, st.Completed, st.Quarantined, st.Epoch
 	j.state = StateFinished
@@ -693,7 +715,7 @@ func (s *Server) finalizeJobLocked(j *Job) {
 		}
 	}
 	t.completed++
-	_ = s.man.append(manifestEvent{Event: "finish", At: j.finishedAt.UnixNano(),
+	err := s.journalLocked(manifestEvent{Event: "finish", At: j.finishedAt.UnixNano(),
 		Job: j.id, Nodes: j.nodes, Completed: j.completed, Quarantined: j.quarantined})
 	s.m.finished.Inc()
 	s.m.jobLatency.Observe(j.finishedAt.Sub(j.submittedAt).Seconds())
@@ -704,6 +726,7 @@ func (s *Server) finalizeJobLocked(j *Job) {
 	_ = j.srv.Shutdown(ctx)
 	cancel()
 	s.syncGaugesLocked()
+	return err
 }
 
 // ReportResult is the /report reply: the ack summary, whether the acked
@@ -726,8 +749,8 @@ type ReportResult struct {
 func (s *Server) Report(jobID string, done, failed []dag.NodeID, epoch uint64, k int) (ReportResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.killed {
-		return ReportResult{}, UnavailableError{icserver.ReasonKilled}
+	if err := s.refuseLocked(false); err != nil {
+		return ReportResult{}, err
 	}
 	j, ok := s.jobs[jobID]
 	if !ok {
@@ -748,7 +771,9 @@ func (s *Server) Report(jobID string, done, failed []dag.NodeID, epoch uint64, k
 		}
 		res.BatchReport = rep
 		if j.srv.Finished() {
-			s.finalizeJobLocked(j)
+			if err := s.finalizeJobLocked(j); err != nil {
+				return ReportResult{}, err
+			}
 			res.JobFinished = true
 		}
 	default:
@@ -757,7 +782,10 @@ func (s *Server) Report(jobID string, done, failed []dag.NodeID, epoch uint64, k
 	s.m.reports.Inc()
 	res.Grant = GrantSet{Tasks: []TaskGrant{}}
 	if k > 0 && !s.draining {
-		res.Grant = s.pickLocked(k)
+		var err error
+		if res.Grant, err = s.pickLocked(k); err != nil {
+			return ReportResult{}, err
+		}
 	}
 	return res, nil
 }
@@ -778,10 +806,9 @@ type JobStatus struct {
 	Epoch       uint64 `json:"epoch,omitempty"`
 	// CacheHit: analysis came from the schedule cache.  Replay: the job
 	// executes in steady-state replay mode (cursor-journaled cached
-	// order).  Shards: the job runs cut across this many shard servers.
+	// order).
 	CacheHit bool `json:"cacheHit,omitempty"`
 	Replay   bool `json:"replay,omitempty"`
-	Shards   int  `json:"shards,omitempty"`
 
 	SubmittedMillis int64   `json:"submittedMillis"`
 	FinishedMillis  int64   `json:"finishedMillis,omitempty"`
@@ -793,7 +820,7 @@ func (s *Server) jobStatusLocked(j *Job) JobStatus {
 	st := JobStatus{
 		Job: j.id, Tenant: j.spec.Tenant, State: j.state,
 		Family: j.spec.Family, Size: j.spec.Size,
-		CacheHit: j.cacheHit, Replay: j.replay, Shards: j.spec.Shards,
+		CacheHit: j.cacheHit, Replay: j.replay,
 		SubmittedMillis: j.submittedAt.UnixMilli(),
 		Error:           j.errMsg,
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -261,80 +263,6 @@ func TestPipelineRunsJobsToCompletion(t *testing.T) {
 	if completed != 4 {
 		t.Fatalf("tenant completed-jobs sum %d, want 4", completed)
 	}
-}
-
-// TestShardedJob runs jobs cut across embedded shard servers (Spec.
-// Shards > 1) next to single-server jobs and checks bit-identical
-// values, that the shard count is validated and disables steady-state
-// replay, and that the cut survives manifest recovery.
-func TestShardedJob(t *testing.T) {
-	s := New(Config{})
-	h := newHarness(t, s)
-	specs := map[string]Spec{}
-	for _, sp := range []Spec{
-		{Tenant: "a", Family: "wavefront", Size: 8, Shards: 3},
-		{Tenant: "a", Family: "wavefront", Size: 8},
-		{Tenant: "b", Family: "prefix", Size: 16, Shards: 2},
-		{Tenant: "b", Dag: rawDag(6, [][2]int{{0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 5}}), Shards: 2},
-	} {
-		specs[h.submit(sp)] = sp
-	}
-	h.drain(4)
-	h.checkValues(specs)
-	for id, sp := range specs {
-		st, _ := s.JobByID(id)
-		if st.State != StateFinished || st.Completed != st.Nodes {
-			t.Fatalf("job %s: %+v", id, st)
-		}
-		if st.Shards != sp.Shards {
-			t.Errorf("job %s shards = %d, want %d", id, st.Shards, sp.Shards)
-		}
-		if sp.Shards > 1 && st.Replay {
-			t.Errorf("sharded job %s armed replay", id)
-		}
-	}
-	for _, bad := range []int{-1, 1000} {
-		if _, err := s.Submit(Spec{Tenant: "a", Family: "prefix", Size: 8, Shards: bad}); err == nil {
-			t.Errorf("shards=%d accepted, want error", bad)
-		}
-	}
-	if err := closeServer(s); err != nil {
-		t.Fatal(err)
-	}
-
-	// Durable: a mid-flight sharded job is re-cut identically across
-	// recovery (the spec travels through the manifest) and the shard
-	// journals resume it.
-	dir := t.TempDir()
-	cfg := Config{Wal: wal.Options{SyncEvery: 1}}
-	ds, err := Recover(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dh := newHarness(t, ds)
-	sp := Spec{Tenant: "a", Family: "wavefront", Size: 8, Shards: 3}
-	id := dh.submit(sp)
-	waitState(t, ds, id, StateActive)
-	ds.Kill()
-	ds2, err := Recover(dir, cfg)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	defer closeServer(ds2)
-	ds2.mu.Lock()
-	j := ds2.jobs[id]
-	gotShards, srv := j.spec.Shards, j.srv
-	ds2.mu.Unlock()
-	if gotShards != 3 {
-		t.Fatalf("recovered spec shards = %d, want 3", gotShards)
-	}
-	if _, ok := srv.(*shardedCore); !ok {
-		t.Fatalf("recovered job core is %T, want *shardedCore", srv)
-	}
-	dh2 := newHarness(t, ds2)
-	dh2.track(id, sp)
-	dh2.drain(4)
-	dh2.checkValues(map[string]Spec{id: sp})
 }
 
 // TestWeightedFairShare pins the stride policy: with wide-open dags
@@ -668,6 +596,67 @@ func TestRecoverServiceWrittenWithRelaxedJobs(t *testing.T) {
 		if st, _ := s.JobByID(id); st.State != StateFinished || st.Completed != st.Nodes {
 			t.Fatalf("job %s: %+v", id, st)
 		}
+	}
+}
+
+// TestRecoverServiceWrittenWithShardedJob recovers
+// testdata/sharded-service (see its README): a durable service directory
+// of an older commit holding one `"shards": 3` wavefront job, killed with
+// 9 of 36 tasks done.  Its shard and bus journals sit in subdirectories
+// of job-j1/, which the journal scan ignores, so the job restarts from
+// its submit event on a single server: it must finish with the serial
+// reference's values, /status must not mention shards, and a report
+// under the dead incarnation's epoch (3, the sum of its shard epochs)
+// must be fenced.
+func TestRecoverServiceWrittenWithShardedJob(t *testing.T) {
+	const src = "testdata/sharded-service"
+	dir := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !strings.Contains(string(man), `"shards":3`) {
+		t.Fatalf("testdata manifest: err %v, want a \"shards\":3 submit event in\n%s", err, man)
+	}
+	sp := Spec{Tenant: "a", Family: "wavefront", Size: 6}
+
+	s, err := Recover(dir, Config{Lease: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(s)
+	if st := waitState(t, s, "j1", StateActive); st.Completed != 0 || st.Epoch != 1 {
+		t.Fatalf("recovered j1 %+v, want a fresh single-server run at epoch 1", st)
+	}
+	var stale StaleEpochError
+	if _, err := s.Report("j1", []dag.NodeID{0}, nil, 3, 0); !errors.As(err, &stale) || stale.Epoch != 1 {
+		t.Fatalf("report under the dead incarnation's epoch: %v, want StaleEpochError{1}", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var raw json.RawMessage
+	if code := getJSON(t, ts.URL+"/status", &raw); code != http.StatusOK || strings.Contains(string(raw), "shards") {
+		t.Fatalf("GET /status -> %d: %s", code, raw)
+	}
+	h := newHarness(t, s)
+	h.track("j1", sp)
+	h.drain(3)
+	h.checkValues(map[string]Spec{"j1": sp})
+	if st, _ := s.JobByID("j1"); st.State != StateFinished || st.Completed != st.Nodes || st.Nodes != 36 {
+		t.Fatalf("j1 after drain: %+v", st)
 	}
 }
 

@@ -30,7 +30,6 @@ type manifestEvent struct {
 	Family string          `json:"family,omitempty"`
 	Size   int             `json:"size,omitempty"`
 	Dag    json.RawMessage `json:"dag,omitempty"`
-	Shards int             `json:"shards,omitempty"`
 	// Activate events record whether the job runs in steady-state replay
 	// mode (cursor-journaled cached order): the decision depends on cache
 	// state at activation, so recovery must read it back rather than

@@ -1,16 +1,15 @@
-// Package shard implements sharded multi-server scheduling: a large
-// computation-dag is cut into K components, each executed by its own
-// embedded icserver core, with cross-shard arcs forwarded as
-// eligibility credits by a journaled bus (coordinator.go).
+// Package shard cuts a computation-dag into K components and states,
+// as an executable property, when the pieces may run apart.
 //
 // The legality argument is the paper's ⇑-composition machinery
 // (Theorem 2.1): when every cross-shard arc points from a lower shard
 // index to a higher one, any interleaving of the per-shard schedules
-// that respects the forwarded credits realizes a topological order of
-// the whole dag, and driving each shard by the restriction of a global
-// IC-optimal schedule recombines into exactly that schedule — the
-// realized eligibility profile is bit-identical to the single-server
-// run (verified by internal/difftest and the chaos shard-kill lane).
+// in which a task waits for its cross-shard parents realizes a
+// topological order of the whole dag, and driving each shard by the
+// restriction of a global IC-optimal schedule recombines into exactly
+// that schedule — the realized eligibility profile is bit-identical to
+// the single-server run.  Recombine (recombine.go) checks this with one
+// sched.State per shard: no server, no journal, no goroutine.
 //
 // Every partitioner here guarantees that forward-only property by
 // construction and build() re-verifies it on the actual arc set.
@@ -24,9 +23,8 @@ import (
 	"icsched/internal/dag"
 )
 
-// MaxShards bounds the shard count accepted by the partitioners and
-// the jobs pipeline — far above any sensible deployment, it only
-// guards against absurd requests.
+// MaxShards bounds the shard count accepted by the partitioners — far
+// above any sensible cut, it only guards against absurd requests.
 const MaxShards = 64
 
 // CrossArc is one dag arc whose endpoints live on different shards
@@ -62,10 +60,10 @@ type Partition struct {
 	Cross []CrossArc
 
 	// crossOut[u] lists the global targets of u's cross-shard arcs
-	// (nil for interior nodes) — the forwarding bus's fan-out table.
+	// (nil for interior nodes).
 	crossOut map[dag.NodeID][]dag.NodeID
-	// needIn[i] counts, per local node of shard i, its external
-	// parents — the icserver.WithExternalDeps table.
+	// needIn[i] counts, per local node of shard i, its cross-shard
+	// parents — what Recombine makes a task wait for.
 	needIn []map[dag.NodeID]int
 }
 
@@ -412,9 +410,8 @@ func (p *Partition) Global(i int, lv dag.NodeID) dag.NodeID { return p.Globals[i
 // for interior nodes).  The returned slice is shared; do not mutate.
 func (p *Partition) CrossOut(u dag.NodeID) []dag.NodeID { return p.crossOut[u] }
 
-// NeedIn returns shard i's external-parent counts keyed by local node
-// — the icserver.WithExternalDeps table.  The map is shared; do not
-// mutate.
+// NeedIn returns shard i's cross-shard parent counts keyed by local
+// node.  The map is shared; do not mutate.
 func (p *Partition) NeedIn(i int) map[dag.NodeID]int { return p.needIn[i] }
 
 // LocalOrders restricts a global schedule to each shard, mapped to
@@ -435,8 +432,7 @@ func (p *Partition) LocalOrders(order []dag.NodeID) ([][]dag.NodeID, error) {
 	return out, nil
 }
 
-// Stats summarizes one shard's share of the cut for benchmarks and
-// /status.
+// Stats summarizes one shard's share of the cut.
 type Stats struct {
 	Shard    int `json:"shard"`
 	Nodes    int `json:"nodes"`

@@ -399,13 +399,6 @@ func ReplayOrdered(snap *Snapshot, recs []Record, nodes int, order []int64) (*Sn
 			}
 			st.Cursor = r.Task
 			continue
-		case KindArc:
-			// A cross-shard arc forwarding (the internal/shard bus
-			// journal): Task is a GLOBAL node ID, outside this journal's
-			// per-task space, and forwardings carry no scheduler state —
-			// the coordinator replays them itself.  Skip before the range
-			// check below.
-			continue
 		}
 		v := r.Task
 		if v < 0 || int(v) >= nodes {

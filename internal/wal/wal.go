@@ -81,15 +81,11 @@ const (
 	// record needs the order (ReplayOrdered); re-grants after expiry or
 	// hand-back still use explicit KindGrant records.
 	KindCursor
-	// KindArc records a cross-shard arc forwarding (sharded multi-server
-	// mode, internal/shard): Task is the GLOBAL node ID of a completed
-	// task whose outgoing cross-shard arcs have been turned into
-	// eligibility credits on their destination shards.  The record is
-	// appended by the coordinator's forwarding bus before the credits are
-	// delivered, so a recovery replays exactly the forwarded set —
-	// re-delivery is idempotent on the receiving gate, so a forwarded
-	// completion is never dropped and never double-counted.
-	KindArc
+	// kindArc is reserved: it was the cross-shard arc forwarding record
+	// of the sharded coordinator's bus journal, which no longer exists.
+	// Old bus files still decode; no server journal ever held one, and
+	// no later kind may reuse the value.
+	kindArc
 
 	kindEnd
 )
@@ -113,7 +109,7 @@ func (k Kind) String() string {
 		return "drain"
 	case KindCursor:
 		return "cursor"
-	case KindArc:
+	case kindArc:
 		return "arc"
 	}
 	return fmt.Sprintf("wal.Kind(%d)", int(k))
