@@ -48,9 +48,10 @@ grantalloc:
 observability:
 	$(MATCH) -race 'Metrics|Trace|Jitter|Replay|Observer|Histogram|Rendering' ./...
 
-# Golden request sequences, the resync table, default seeding.
+# Golden request sequences, the resync table, default seeding, task
+# names, and the hand-written codec against encoding/json.
 wire:
-	$(MATCH) -race 'WireSequenceGolden|ResyncEpochContract|UnseededWorkers|ClientSeedReachesEngine|GaugesAfterBatchGrant' ./internal/difftest/ ./internal/jobs/ ./internal/icserver/
+	$(MATCH) -race 'WireSequenceGolden|ResyncEpochContract|UnseededWorkers|ClientSeedReachesEngine|GaugesAfterBatchGrant|ComputeSeesTaskNames|WireCodec' ./internal/difftest/ ./internal/jobs/ ./internal/icserver/
 
 oracle:
 	$(MATCH) -race 'Frontier|WorkerCount|Budget|Decide|Beyond' ./internal/opt/ ./internal/difftest/
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecords$$' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzRelaxedGrant$$' -fuzztime 30s ./internal/relaxed/
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalHash$$' -fuzztime 30s ./internal/schedcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 30s ./internal/icserver/
 
 figures:
 	$(GO) run ./cmd/icsched figures figures/

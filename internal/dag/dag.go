@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -72,13 +73,21 @@ func (g *Dag) Label(v NodeID) string {
 	return g.labels[v]
 }
 
-// Name returns a human-readable name for v: its label if set, else "n<id>".
+// Labeled reports whether g carries node labels at all.  When it does
+// not, Name(v) is DefaultName(v) for every v.
+func (g *Dag) Labeled() bool { return g.labels != nil }
+
+// Name returns a human-readable name for v: its label if set, else
+// DefaultName(v).
 func (g *Dag) Name(v NodeID) string {
 	if l := g.Label(v); l != "" {
 		return l
 	}
-	return fmt.Sprintf("n%d", v)
+	return DefaultName(v)
 }
+
+// DefaultName is the name of an unlabeled node: "n<id>".
+func DefaultName(v NodeID) string { return "n" + strconv.Itoa(int(v)) }
 
 // Sources returns the parentless nodes, in increasing ID order.
 func (g *Dag) Sources() []NodeID {

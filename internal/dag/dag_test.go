@@ -282,6 +282,13 @@ func TestLabels(t *testing.T) {
 	if g.Name(w) != "w" || g.Name(x) != "n1" {
 		t.Fatalf("names wrong: %q %q", g.Name(w), g.Name(x))
 	}
+	if !g.Labeled() {
+		t.Fatal("labeled dag reports no labels")
+	}
+	plain := NewBuilder(12).MustBuild()
+	if plain.Labeled() || plain.Name(11) != "n11" || DefaultName(-3) != "n-3" {
+		t.Fatalf("unlabeled dag: Labeled %v, Name(11) %q", plain.Labeled(), plain.Name(11))
+	}
 }
 
 func TestDOTContainsAllNodesAndArcs(t *testing.T) {

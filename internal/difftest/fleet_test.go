@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"icsched/internal/dag"
+	"icsched/internal/dagio"
+	"icsched/internal/heur"
 	"icsched/internal/icserver"
 	"icsched/internal/jobs"
 )
@@ -78,6 +80,8 @@ func failOnce(v dag.NodeID) func(dag.NodeID) error {
 // before their private loops were folded into the one worker engine;
 // they are the contract that the fold — and the engine's later collapse
 // to a single service URL — changed no wire byte and no request order.
+// The scripted replies were re-written once, when grants became id
+// arrays with one epoch; the want tables were not.
 func TestWireSequenceGolden(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {
@@ -91,15 +95,15 @@ func TestWireSequenceGolden(t *testing.T) {
 		{
 			name: "icserver-batched",
 			replies: []reply{
-				{200, `{"tasks":[{"task":0,"name":"t0","epoch":1}],"epoch":1}`},
-				{200, `{` + ackSummary + `,"tasks":[{"task":1,"name":"t1","epoch":1},{"task":2,"name":"t2","epoch":1}],"epoch":1}`},
+				{200, `{"tasks":[0],"epoch":1}`},
+				{200, `{` + ackSummary + `,"tasks":[1,2],"epoch":1}`},
 				{503, unavailable503},
 				{409, `{"error":"stale epoch","epoch":2}`},
 				{200, `{"total":5,"completed":1,"epoch":2}`},
-				{200, `{` + ackSummary + `,"tasks":[{"task":2,"name":"t2","epoch":2}],"epoch":2}`},
+				{200, `{` + ackSummary + `,"tasks":[2],"epoch":2}`},
 				{200, `{` + ackSummary + `,"epoch":2}`},
 				{200, `{"tasks":[],"epoch":2}`},
-				{200, `{"tasks":[{"task":3,"name":"t3","epoch":2}],"epoch":2}`},
+				{200, `{"tasks":[3],"epoch":2}`},
 				{200, `{` + ackSummary + `,"finished":true,"epoch":2}`},
 			},
 			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
@@ -140,15 +144,15 @@ func TestWireSequenceGolden(t *testing.T) {
 		{
 			name: "jobs",
 			replies: []reply{
-				{200, `{"job":"j1","epoch":1,"tasks":[{"task":0,"name":"t0"}]}`},
-				{200, `{` + ackSummary + `,"grant":{"job":"j2","epoch":3,"tasks":[{"task":1,"name":"t1"},{"task":2,"name":"t2"}]}}`},
+				{200, `{"job":"j1","epoch":1,"tasks":[0]}`},
+				{200, `{` + ackSummary + `,"grant":{"job":"j2","epoch":3,"tasks":[1,2]}}`},
 				{503, unavailable503},
 				{409, `{"error":"stale epoch","epoch":4}`},
 				{200, `{"activeJobs":1,"jobs":[{"job":"j1","epoch":1},{"job":"j2","epoch":5}]}`},
 				{200, `{` + ackSummary + `,"jobFinished":true,"grant":{"tasks":[]}}`},
 				{200, `{"tasks":[]}`},
-				{200, `{"job":"j2","epoch":5,"tasks":[{"task":2,"name":"t2"}]}`},
-				{200, `{` + ackSummary + `,"grant":{"job":"j3","epoch":1,"tasks":[{"task":7,"name":"t7"}]}}`},
+				{200, `{"job":"j2","epoch":5,"tasks":[2]}`},
+				{200, `{` + ackSummary + `,"grant":{"job":"j3","epoch":1,"tasks":[7]}}`},
 			},
 			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
 				fail := failOnce(2)
@@ -295,9 +299,9 @@ func TestUnseededWorkersRaceFree(t *testing.T) {
 // re-send the ack unfenced under epoch 0.
 func TestResyncEpochContract(t *testing.T) {
 	grants := map[string][2]string{ // flavour → {grant reply, /status reply carrying epoch 7}
-		"icserver-batched": {`{"tasks":[{"task":0,"name":"t0","epoch":1}],"epoch":1}`, `{"epoch":7}`},
+		"icserver-batched": {`{"tasks":[0],"epoch":1}`, `{"epoch":7}`},
 		"icserver-legacy":  {`{"task":0,"name":"t0","epoch":1}`, `{"epoch":7}`},
-		"jobs":             {`{"job":"j1","epoch":1,"tasks":[{"task":0,"name":"t0"}]}`, `{"jobs":[{"job":"j0","epoch":3},{"job":"j1","epoch":7}]}`},
+		"jobs":             {`{"job":"j1","epoch":1,"tasks":[0]}`, `{"jobs":[{"job":"j0","epoch":3},{"job":"j1","epoch":7}]}`},
 	}
 	cases := []struct {
 		name      string
@@ -363,6 +367,81 @@ func TestResyncEpochContract(t *testing.T) {
 				}
 				if len(posts) != 3 || !strings.Contains(posts[2], tc.resent) {
 					t.Fatalf("requests %q: want the ack re-sent once with %s", posts, tc.resent)
+				}
+			})
+		}
+	}
+}
+
+// TestComputeSeesTaskNames holds every flavour to one naming contract
+// over HTTP: an unlabeled dag's grants carry ids only and Compute sees
+// dag.DefaultName(id); a labeled dag's carry names, and Compute sees the
+// label — or n<id> for a node the labeling skipped.
+func TestComputeSeesTaskNames(t *testing.T) {
+	const n = 6
+	build := func(labeled bool) *dag.Dag {
+		b := dag.NewBuilder(n)
+		for v := 1; v < n; v++ {
+			b.AddArc(0, dag.NodeID(v))
+		}
+		if labeled {
+			for v := 0; v < n; v += 2 {
+				b.SetLabel(dag.NodeID(v), fmt.Sprintf("task <%d> é", v))
+			}
+		}
+		return b.MustBuild()
+	}
+	for _, labeled := range []bool{false, true} {
+		g := build(labeled)
+		for _, flavour := range []string{"icserver-batched", "icserver-legacy", "jobs"} {
+			t.Run(fmt.Sprintf("%s/labeled=%v", flavour, labeled), func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				var mu sync.Mutex
+				seen := map[dag.NodeID]string{}
+				compute := func(v dag.NodeID, name string) error {
+					mu.Lock()
+					defer mu.Unlock()
+					seen[v] = name
+					if len(seen) == n {
+						cancel() // a job fleet never finishes by itself
+					}
+					return nil
+				}
+				var err error
+				if flavour == "jobs" {
+					svc := jobs.New(jobs.Config{Lease: time.Minute})
+					defer svc.Kill() // the last batch is computed but never acked
+					ts := httptest.NewServer(svc.Handler())
+					defer ts.Close()
+					payload, _ := dagio.MarshalJSON(g)
+					if _, err := svc.Submit(jobs.Spec{Tenant: "a", Dag: payload}); err != nil {
+						t.Fatal(err)
+					}
+					c := &jobs.Client{BaseURL: ts.URL, Batch: 4, Seed: 1, IdleWait: time.Millisecond,
+						Compute: func(_ string, v dag.NodeID, name string) error { return compute(v, name) }}
+					_, err = c.Run(ctx)
+				} else {
+					ts := httptest.NewServer(icserver.New(g, heur.FIFO()).Handler())
+					defer ts.Close()
+					c := &icserver.Client{BaseURL: ts.URL, Seed: 1, IdleWait: time.Millisecond, Compute: compute}
+					if flavour == "icserver-batched" {
+						c.Batch = 4
+					}
+					_, err = c.Run(ctx)
+				}
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("Run: %v", err)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(seen) != n {
+					t.Fatalf("computed %d of %d tasks", len(seen), n)
+				}
+				for v, name := range seen {
+					if want := g.Name(v); name != want {
+						t.Errorf("task %d computed as %q, want %q", v, name, want)
+					}
 				}
 			})
 		}

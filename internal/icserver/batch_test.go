@@ -42,19 +42,12 @@ func grantTasks(t *testing.T, base string, k int) (int, []dag.NodeID) {
 		return code, nil
 	}
 	var resp struct {
-		Tasks []struct {
-			Task dag.NodeID `json:"task"`
-			Name string     `json:"name"`
-		} `json:"tasks"`
+		Tasks []dag.NodeID `json:"tasks"`
 	}
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("unmarshal /tasks response %q: %v", body, err)
 	}
-	ids := make([]dag.NodeID, len(resp.Tasks))
-	for i, task := range resp.Tasks {
-		ids[i] = task.Task
-	}
-	return code, ids
+	return code, resp.Tasks
 }
 
 // TestTasksBatchClampsToEligible walks a fan dag (source 0, leaves 1..5)
@@ -208,6 +201,7 @@ func TestReportAtomicThenRetry(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("replayed batch returned %d: %s", code, body)
 	}
+	rep = icserver.BatchReport{} // zero counts are omitted on the wire
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -231,22 +225,15 @@ func TestReportPiggybackGrant(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	report := func(body string) (int, struct {
+	type reply struct {
 		icserver.BatchReport
-		Tasks []struct {
-			Task dag.NodeID `json:"task"`
-		} `json:"tasks"`
-		Finished bool `json:"finished"`
-	}) {
+		Tasks    []dag.NodeID `json:"tasks"`
+		Finished bool         `json:"finished"`
+	}
+	report := func(body string) (int, reply) {
 		t.Helper()
 		code, raw := postJSON(t, ts.URL+"/report", body)
-		var resp struct {
-			icserver.BatchReport
-			Tasks []struct {
-				Task dag.NodeID `json:"task"`
-			} `json:"tasks"`
-			Finished bool `json:"finished"`
-		}
+		var resp reply
 		if code == http.StatusOK {
 			if err := json.Unmarshal(raw, &resp); err != nil {
 				t.Fatalf("unmarshal /report response %q: %v", raw, err)
@@ -274,12 +261,12 @@ func TestReportPiggybackGrant(t *testing.T) {
 	if code != http.StatusOK || resp.Completed != 1 || resp.NewlyEligible != leaves {
 		t.Fatalf("piggyback ack returned %d %+v", code, resp.BatchReport)
 	}
-	if len(resp.Tasks) != 2 || resp.Tasks[0].Task != 1 || resp.Tasks[1].Task != 2 || resp.Finished {
+	if len(resp.Tasks) != 2 || resp.Tasks[0] != 1 || resp.Tasks[1] != 2 || resp.Finished {
 		t.Fatalf("piggyback grant %+v, want tasks [1 2]", resp)
 	}
 	// Oversized ask clamps to the one remaining leaf.
 	code, resp = report(`{"done":[1,2],"k":100}`)
-	if code != http.StatusOK || len(resp.Tasks) != 1 || resp.Tasks[0].Task != 3 || resp.Finished {
+	if code != http.StatusOK || len(resp.Tasks) != 1 || resp.Tasks[0] != 3 || resp.Finished {
 		t.Fatalf("second piggyback returned %d %+v, want task [3]", code, resp)
 	}
 	// The terminal ack: nothing left, finished flag set.

@@ -147,7 +147,7 @@ func (e *Engine) runSingle(ctx context.Context) error {
 		if err := json.Unmarshal(body, &task); err != nil {
 			return fmt.Errorf("icserver client: %w", err)
 		}
-		g := Grant{Epoch: task.Epoch, Tasks: []taskResponse{task}}
+		g := Grant{Epoch: task.Epoch, Tasks: []dag.NodeID{task.Task}, Names: []string{task.Name}}
 		done, failed, err := e.compute(g)
 		if err != nil {
 			return err
@@ -156,7 +156,11 @@ func (e *Engine) runSingle(ctx context.Context) error {
 		if len(failed) > 0 {
 			path = "/failed"
 		}
-		if _, err := e.report(ctx, path, &g, func() any { return doneRequest{Task: task.Task, Epoch: g.Epoch} }); err != nil {
+		encode := func() []byte {
+			b, _ := json.Marshal(doneRequest{Task: task.Task, Epoch: g.Epoch})
+			return b
+		}
+		if _, err := e.report(ctx, path, &g, encode); err != nil {
 			return err
 		}
 		e.stats.Completed += len(done)
@@ -168,14 +172,16 @@ func (e *Engine) runSingle(ctx context.Context) error {
 // one icserver, whose epoch is the top-level one in /status.
 type wire struct{}
 
-func (wire) Report(g Grant, done, failed []dag.NodeID, k int) any {
-	return reportRequest{Done: done, Failed: failed, K: k, Epoch: g.Epoch}
+// Report encodes into a fresh slice, not a pooled one: net/http's
+// transport may still be reading a request body after Do returns.
+func (wire) Report(g Grant, done, failed []dag.NodeID, k int) []byte {
+	b := make([]byte, 0, 48+8*(len(done)+len(failed)))
+	return appendReportRequest(b, &reportRequest{Done: done, Failed: failed, K: k, Epoch: g.Epoch})
 }
 
 func (wire) Ack(body []byte) (Grant, bool, bool, error) {
-	var r reportResponse
-	err := json.Unmarshal(body, &r)
-	return Grant{Epoch: r.Epoch, Tasks: r.Tasks}, r.Finished, false, err
+	r, err := decodeFast(body, parseReportResponse)
+	return Grant{Epoch: r.Epoch, Tasks: r.Tasks, Names: r.Names}, r.Finished, false, err
 }
 
 func (wire) Epoch(status []byte, _ Grant) uint64 {

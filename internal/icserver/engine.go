@@ -69,12 +69,13 @@ type EngineStats struct {
 }
 
 // Dialect is what differs between the services a fleet talks to.  Asks
-// ({"k":n}) and grants ({"job","epoch","tasks"}) read the same on all of
-// them; the ack, its reply, and where GET /status keeps the current
-// epoch do not.
+// ({"k":n}) and grants ({"job","epoch","tasks","names"}) read the same on
+// all of them; the ack, its reply, and where GET /status keeps the
+// current epoch do not.
 type Dialect interface {
-	// Report is the wire form of g's ack, piggybacking an ask for k tasks.
-	Report(g Grant, done, failed []dag.NodeID, k int) any
+	// Report is the encoded body of g's ack, piggybacking an ask for k
+	// tasks.
+	Report(g Grant, done, failed []dag.NodeID, k int) []byte
 	// Ack decodes a 200 /report reply: the piggybacked next grant, whether
 	// the endpoint reached its terminal state, and whether g's job did.
 	Ack(body []byte) (next Grant, finished, jobFinished bool, err error)
@@ -83,12 +84,15 @@ type Dialect interface {
 	Epoch(status []byte, g Grant) uint64
 }
 
-// Grant is a batch in hand: tasks of one dag (Job names it on a job
-// service) and the fencing epoch their report must carry.
+// Grant is a batch in hand: task ids of one dag (Job names it on a job
+// service) and the fencing epoch their report must carry.  Names is
+// parallel to Tasks and present only when the dag is labeled; an
+// unlabeled task's name is dag.DefaultName(id).
 type Grant struct {
-	Job   string         `json:"job,omitempty"`
-	Epoch uint64         `json:"epoch,omitempty"`
-	Tasks []taskResponse `json:"tasks"`
+	Job   string       `json:"job,omitempty"`
+	Epoch uint64       `json:"epoch,omitempty"`
+	Tasks []dag.NodeID `json:"tasks"`
+	Names []string     `json:"names,omitempty"`
 }
 
 // engineSeq hands out default jitter seeds: the n-th unseeded engine to
@@ -210,7 +214,8 @@ func (e *Engine) Run(ctx context.Context) (EngineStats, error) {
 // whether any batch was computed and whether the service said it is
 // finished.
 func (e *Engine) drain(ctx context.Context, ask *int) (moved, finished bool, err error) {
-	code, body, err := e.postRetry(ctx, e.BaseURL+"/tasks", tasksRequest{K: *ask})
+	req, _ := json.Marshal(tasksRequest{K: *ask})
+	code, body, err := e.postRetry(ctx, e.BaseURL+"/tasks", req)
 	if err != nil {
 		return false, false, err
 	}
@@ -221,8 +226,8 @@ func (e *Engine) drain(ctx context.Context, ask *int) (moved, finished bool, err
 	default:
 		return false, false, fmt.Errorf("icserver worker: %s/tasks returned %d: %s", e.BaseURL, code, body)
 	}
-	var g Grant
-	if err := json.Unmarshal(body, &g); err != nil {
+	g, err := decodeFast(body, parseGrant)
+	if err != nil {
 		return false, false, fmt.Errorf("icserver worker: %s/tasks: %w", e.BaseURL, err)
 	}
 	if len(g.Tasks) == 0 {
@@ -241,7 +246,7 @@ func (e *Engine) drain(ctx context.Context, ask *int) (moved, finished bool, err
 			return true, false, err
 		}
 		*ask = nextAsk(*ask, len(g.Tasks), e.Batch)
-		body, err := e.report(ctx, "/report", &g, func() any { return e.Dialect.Report(g, done, failed, *ask) })
+		body, err := e.report(ctx, "/report", &g, func() []byte { return e.Dialect.Report(g, done, failed, *ask) })
 		if err != nil {
 			return true, false, err
 		}
@@ -265,16 +270,20 @@ func (e *Engine) drain(ctx context.Context, ask *int) (moved, finished bool, err
 // compute runs every task of g, sorting them into the done and failed
 // lists of its report; ErrCrash from Compute stops it cold.
 func (e *Engine) compute(g Grant) (done, failed []dag.NodeID, err error) {
-	for _, t := range g.Tasks {
+	for i, v := range g.Tasks {
 		if e.Compute != nil {
-			if err := e.Compute(g.Job, t.Task, t.Name); errors.Is(err, ErrCrash) {
+			name := dag.DefaultName(v)
+			if i < len(g.Names) {
+				name = g.Names[i]
+			}
+			if err := e.Compute(g.Job, v, name); errors.Is(err, ErrCrash) {
 				return nil, nil, err
 			} else if err != nil {
-				failed = append(failed, t.Task)
+				failed = append(failed, v)
 				continue
 			}
 		}
-		done = append(done, t.Task)
+		done = append(done, v)
 	}
 	return done, failed, nil
 }
@@ -285,7 +294,7 @@ func (e *Engine) compute(g Grant) (done, failed []dag.NodeID, err error) {
 // server applies it (the tasks came back requeued) or absorbs it as
 // idempotent duplicates (journaled before the crash).  It returns the
 // 200 reply.
-func (e *Engine) report(ctx context.Context, path string, g *Grant, encode func() any) ([]byte, error) {
+func (e *Engine) report(ctx context.Context, path string, g *Grant, encode func() []byte) ([]byte, error) {
 	url := e.BaseURL + path
 	for try := 1; ; try++ {
 		code, body, err := e.postRetry(ctx, url, encode())
@@ -341,18 +350,11 @@ func (e *Engine) resync(ctx context.Context, g *Grant, rejection []byte) error {
 	return errors.New("icserver worker: stale-epoch rejection without a recoverable epoch")
 }
 
-// postRetry POSTs payload (nil: no body) as JSON, retrying transport
-// errors and 5xx — including the typed 503 of a server mid-recovery —
-// with capped exponential backoff + jitter.  It returns the first
-// conclusive status, or an error once attempts are exhausted.
-func (e *Engine) postRetry(ctx context.Context, url string, payload any) (int, []byte, error) {
-	var body []byte
-	if payload != nil {
-		var err error
-		if body, err = json.Marshal(payload); err != nil {
-			return 0, nil, err
-		}
-	}
+// postRetry POSTs a JSON body (nil: no body), retrying transport errors
+// and 5xx — including the typed 503 of a server mid-recovery — with
+// capped exponential backoff + jitter.  It returns the first conclusive
+// status, or an error once attempts are exhausted.
+func (e *Engine) postRetry(ctx context.Context, url string, body []byte) (int, []byte, error) {
 	wait := e.RetryWait
 	var lastErr error
 	for try := 0; try < e.MaxAttempts; try++ {

@@ -149,6 +149,9 @@ func TestMetricsAgreeWithStatus(t *testing.T) {
 		want   int
 	}{
 		{"icserver_completions_total", st.Completed},
+		// Counted once per request: every task's first grant plus every
+		// reissue (nothing is quarantined at MaxAttempts 10).
+		{"icserver_allocations_total", st.Total + st.Reissues},
 		{"icserver_completed", st.Completed},
 		{"icserver_stalls_total", st.Stalls},
 		{"icserver_reissues_total", st.Reissues},

@@ -209,11 +209,8 @@ func TestReportRetrySpansEpochBump(t *testing.T) {
 	defer ts.Close()
 
 	var grant struct {
-		Tasks []struct {
-			Task  dag.NodeID `json:"task"`
-			Epoch uint64     `json:"epoch"`
-		} `json:"tasks"`
-		Epoch uint64 `json:"epoch"`
+		Tasks []dag.NodeID `json:"tasks"`
+		Epoch uint64       `json:"epoch"`
 	}
 	postJSONCode(t, ts.URL+"/tasks", `{"k":2}`, http.StatusOK, &grant)
 	if grant.Epoch != 1 || len(grant.Tasks) != 2 {
@@ -231,7 +228,7 @@ func TestReportRetrySpansEpochBump(t *testing.T) {
 	defer ts2.Close()
 
 	report := map[string]any{
-		"done":  []dag.NodeID{grant.Tasks[0].Task, grant.Tasks[1].Task},
+		"done":  grant.Tasks,
 		"epoch": grant.Epoch,
 	}
 	payload, _ := json.Marshal(report)
@@ -266,6 +263,7 @@ func TestReportRetrySpansEpochBump(t *testing.T) {
 		t.Fatalf("retried report ack %+v", ack)
 	}
 	// Retrying the same report again is all duplicates.
+	ack.Completed, ack.Duplicates = 0, 0 // zero counts are omitted on the wire
 	postJSONCode(t, ts2.URL+"/report", string(payload), http.StatusOK, &ack)
 	if ack.Completed != 0 || ack.Duplicates != 2 {
 		t.Fatalf("second retry ack %+v, want pure duplicates", ack)

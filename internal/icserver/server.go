@@ -24,23 +24,30 @@
 //
 // Wire protocol (JSON):
 //
-//	POST /task            -> 200 {"task": id, "name": label}  |  204 (none eligible)
-//	                         |  410 (finished)  |  503 (draining)
+//	POST /task            -> 200 {"task": id, "name": label, "epoch": e}
+//	                         |  204 (none eligible)  |  410 (finished)  |  503 (draining)
 //	POST /done   {"task"} -> 200 {"newlyEligible": k}
 //	POST /failed {"task"} -> 200 {"requeued": b, "quarantined": b}
-//	POST /tasks  {"k": n} -> 200 {"tasks": [{"task": id, "name": label}, ...]}
+//	POST /tasks  {"k": n} -> 200 {"epoch": e, "tasks": [ids], "names": [labels]?}
 //	                         (empty array when nothing is eligible right now)
 //	                         |  400 (k < 1)  |  410 (finished)  |  503 (draining)
-//	POST /report {"done": [ids], "failed": [ids], "k": n?}
-//	                      -> 200 {"newlyEligible", "completed", "duplicates",
-//	                              "requeued", "quarantined",
-//	                              "tasks": [...]?, "finished": b?}
+//	POST /report {"done": [ids], "failed": [ids], "k": n?, "epoch": e?}
+//	                      -> 200 {"newlyEligible"?, "completed"?, "duplicates"?,
+//	                              "requeued"?, "quarantined"?,
+//	                              "tasks": [ids]?, "names": [labels]?,
+//	                              "finished": b?, "epoch": e}
 //	                         |  400 (malformed, k < 0, or a task listed twice)
 //	                         |  409 (out-of-range or never-allocated task)
 //	GET  /status          -> 200 {"total", "completed", "eligible", "allocated",
 //	                              "stalls", "reissues", "failed", "quarantined"}
 //	GET  /healthz         -> 200/503 {"status", "uptimeSeconds", "completed", "total"}
 //	GET  /metrics         -> 200 Prometheus text format (see Metrics)
+//
+// A batched grant is an id array with one fencing epoch; "names" rides
+// along, parallel to "tasks", only when the dag is labeled — a client
+// names an unlabeled task dag.DefaultName(id).  A /report reply omits
+// zero counts.  These hot bodies are hand-encoded and fast-path decoded
+// (codec.go), with encoding/json as the fallback for anything else.
 //
 // /tasks and /report are the batched protocol: one request amortizes the
 // scheduler lock and the HTTP round-trip over up to k tasks.  A /tasks
@@ -392,13 +399,6 @@ type tasksRequest struct {
 	K int `json:"k"`
 }
 
-// tasksResponse carries a batch grant; Tasks is empty when nothing is
-// eligible (the batched analog of the legacy 204).
-type tasksResponse struct {
-	Tasks []taskResponse `json:"tasks"`
-	Epoch uint64         `json:"epoch,omitempty"`
-}
-
 // reportRequest is the batched /report payload: a mixed batch of
 // completions and early hand-backs, acked in one request.  A positive K
 // piggybacks the next grant onto the ack — the server acks the batch and
@@ -417,23 +417,24 @@ type reportRequest struct {
 // turn true on a piggybacked report, never on a plain ack.
 type reportResponse struct {
 	BatchReport
-	Tasks    []taskResponse `json:"tasks,omitempty"`
-	Finished bool           `json:"finished,omitempty"`
-	Epoch    uint64         `json:"epoch,omitempty"`
+	Tasks    []dag.NodeID `json:"tasks,omitempty"`
+	Names    []string     `json:"names,omitempty"`
+	Finished bool         `json:"finished,omitempty"`
+	Epoch    uint64       `json:"epoch,omitempty"`
 }
 
 // BatchReport summarizes what a /report batch did; it is also the
-// in-process Report return value.
+// in-process Report return value.  On the wire a zero count is omitted.
 type BatchReport struct {
 	// NewlyEligible sums the packet sizes of the first-time completions.
-	NewlyEligible int `json:"newlyEligible"`
+	NewlyEligible int `json:"newlyEligible,omitempty"`
 	// Completed counts first-time completions in the batch.
-	Completed int `json:"completed"`
+	Completed int `json:"completed,omitempty"`
 	// Duplicates counts idempotent re-acks of already-completed tasks.
-	Duplicates int `json:"duplicates"`
+	Duplicates int `json:"duplicates,omitempty"`
 	// Requeued and Quarantined count what became of the failed entries.
-	Requeued    int `json:"requeued"`
-	Quarantined int `json:"quarantined"`
+	Requeued    int `json:"requeued,omitempty"`
+	Quarantined int `json:"quarantined,omitempty"`
 }
 
 // healthResponse is the /healthz payload.
@@ -678,18 +679,20 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusGone)
 		return
 	}
-	resp := tasksResponse{Tasks: make([]taskResponse, len(batch)), Epoch: s.epoch}
-	for i, v := range batch {
-		resp.Tasks[i] = taskResponse{Task: v, Name: s.g.Name(v), Epoch: s.epoch}
-	}
-	writeJSON(w, resp)
+	buf := getBuf()
+	defer putBuf(buf)
+	// The reply is a Grant; its Tasks is empty when nothing is eligible
+	// (the batched analog of the legacy 204).
+	*buf = appendGrant(*buf, &Grant{Epoch: s.epoch, Tasks: batch, Names: GrantNames(s.g, batch)})
+	writeBody(w, *buf)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.m.reqReport.Inc()
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req reportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	req, err := decodeBody(w, r, buf, parseReportRequest)
+	if err != nil {
 		http.Error(w, "icserver: malformed /report body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -709,25 +712,36 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		k = 0 // completions are welcome during drain; new grants are not
 	}
+	resp := reportResponse{Epoch: s.epoch}
 	if k == 0 {
-		rep, err := s.report(req.Done, req.Failed, actor)
-		if err != nil {
-			writeReportError(w, err)
-			return
-		}
-		writeJSON(w, reportResponse{BatchReport: rep, Epoch: s.epoch})
-		return
+		resp.BatchReport, err = s.report(req.Done, req.Failed, actor)
+	} else {
+		var state AllocState
+		resp.BatchReport, resp.Tasks, state, err = s.reportAllocate(req.Done, req.Failed, k, actor)
+		resp.Names = GrantNames(s.g, resp.Tasks)
+		resp.Finished = state == AllocFinished
 	}
-	rep, batch, state, err := s.reportAllocate(req.Done, req.Failed, k, actor)
 	if err != nil {
 		writeReportError(w, err)
 		return
 	}
-	resp := reportResponse{BatchReport: rep, Finished: state == AllocFinished, Epoch: s.epoch}
-	for _, v := range batch {
-		resp.Tasks = append(resp.Tasks, taskResponse{Task: v, Name: s.g.Name(v), Epoch: s.epoch})
+	// The request's ids were copied out of buf, so the reply may reuse it.
+	*buf = appendReportResponse((*buf)[:0], &resp)
+	writeBody(w, *buf)
+}
+
+// GrantNames is a grant's "names" field: the names of batch's tasks when
+// g is labeled, else nil — a client names an unlabeled task
+// dag.DefaultName(id), so unlabeled grants carry ids only.
+func GrantNames(g *dag.Dag, batch []dag.NodeID) []string {
+	if !g.Labeled() || len(batch) == 0 {
+		return nil
 	}
-	writeJSON(w, resp)
+	names := make([]string, len(batch))
+	for i, v := range batch {
+		names[i] = g.Name(v)
+	}
+	return names
 }
 
 // writeReportError maps a rejected report batch onto HTTP: a batch that
@@ -863,6 +877,7 @@ func (s *Server) allocateBatchLocked(k int, actor string) ([]dag.NodeID, AllocSt
 		batch = append(batch, v)
 	}
 	s.flushCursorLocked()
+	s.m.allocations.Add(float64(len(batch))) // once per request, not per grant
 	if len(batch) > 0 {
 		// A partial grant is not a stall and not terminal: the request got
 		// work, just less than it asked for.
@@ -961,8 +976,8 @@ func (s *Server) popExpiredLocked(now int64) (dag.NodeID, bool) {
 func (s *Server) nowLocked() int64 { return int64(s.now().Sub(s.start)) }
 
 // grantLocked records a lease grant (caller holds s.mu).  One heap push,
-// no gauge sync: the per-request wrappers reconcile gauges once per
-// request, not once per grant.
+// no gauge sync and no counter bump: the per-request wrappers reconcile
+// gauges and count allocations once per request, not once per grant.
 func (s *Server) grantLocked(v dag.NodeID, now int64, actor string) {
 	s.attempts[v]++
 	s.leased.add(v)
@@ -978,7 +993,6 @@ func (s *Server) grantLocked(v dag.NodeID, now int64, actor string) {
 	} else {
 		s.walAppendLocked(wal.KindGrant, v, uint32(s.attempts[v]))
 	}
-	s.m.allocations.Inc()
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseAllocate, Task: int(v), Name: s.g.Name(v),
 			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
@@ -1029,14 +1043,9 @@ func (s *Server) reportOne(v dag.NodeID, failed bool, actor string) (BatchReport
 	return s.report([]dag.NodeID{v}, nil, actor)
 }
 
+// completeLocked applies one first-time completion of a validated task
+// (caller holds s.mu); reportLocked counts completions per request.
 func (s *Server) completeLocked(v dag.NodeID, actor string) (int, error) {
-	if int(v) < 0 || int(v) >= s.g.NumNodes() {
-		return 0, fmt.Errorf("icserver: task %d out of range", v)
-	}
-	if s.st.IsExecuted(v) {
-		s.m.duplicateDone.Inc()
-		return 0, nil // idempotent
-	}
 	if s.attempts[v] == 0 {
 		return 0, fmt.Errorf("icserver: task %s was never allocated", s.g.Name(v))
 	}
@@ -1051,7 +1060,6 @@ func (s *Server) completeLocked(v dag.NodeID, actor string) (int, error) {
 	}
 	s.walAppendLocked(wal.KindDone, v, 0)
 	s.inst.Offer(packet)
-	s.m.completions.Inc()
 	if s.trace != nil {
 		s.trace.Record(obs.Event{Phase: obs.PhaseDone, Task: int(v), Name: s.g.Name(v),
 			Actor: actor, Attempt: int(s.attempts[v]), Eligible: s.st.NumEligible()})
@@ -1203,9 +1211,12 @@ func (s *Server) reportLocked(done, failed []dag.NodeID, actor string) (BatchRep
 	// locked cores below cannot fail (an allocated task's parents are all
 	// executed — it was ELIGIBLE when granted).
 	var rep BatchReport
+	defer func() { // one counter update per request, partial batches included
+		s.m.completions.Add(float64(rep.Completed))
+		s.m.duplicateDone.Add(float64(rep.Duplicates))
+	}()
 	for _, v := range done {
 		if s.st.IsExecuted(v) {
-			s.m.duplicateDone.Inc()
 			rep.Duplicates++
 			continue
 		}

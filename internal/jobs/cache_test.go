@@ -110,8 +110,8 @@ func TestCacheCrashMidReplayRecovers(t *testing.T) {
 		if len(grant.Tasks) == 0 {
 			t.Fatalf("no work mid-replay (grant %d)", i)
 		}
-		h.compute(grant.Job, grant.Tasks[0].Task)
-		if _, err := s.Report(grant.Job, []dag.NodeID{grant.Tasks[0].Task}, nil, grant.Epoch, 0); err != nil {
+		h.compute(grant.Job, grant.Tasks[0])
+		if _, err := s.Report(grant.Job, []dag.NodeID{grant.Tasks[0]}, nil, grant.Epoch, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

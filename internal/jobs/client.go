@@ -84,8 +84,9 @@ func (c *Client) engine() *icserver.Engine {
 // dialect is the job service's icserver.Dialect.
 type dialect struct{}
 
-func (dialect) Report(g icserver.Grant, done, failed []dag.NodeID, k int) any {
-	return reportRequest{Job: g.Job, Epoch: g.Epoch, Done: done, Failed: failed, K: k}
+func (dialect) Report(g icserver.Grant, done, failed []dag.NodeID, k int) []byte {
+	b, _ := json.Marshal(reportRequest{Job: g.Job, Epoch: g.Epoch, Done: done, Failed: failed, K: k})
+	return b
 }
 
 // Ack reads a ReportResult; the next grant may be another job's.  A job

@@ -236,7 +236,7 @@ func TestHTTPTypedErrors(t *testing.T) {
 		t.Fatalf("grant %s", body)
 	}
 	code, body = postJSON(t, ts.URL+"/report", reportRequest{
-		Job: grant.Job, Epoch: grant.Epoch + 5, Done: []dag.NodeID{grant.Tasks[0].Task}})
+		Job: grant.Job, Epoch: grant.Epoch + 5, Done: []dag.NodeID{grant.Tasks[0]}})
 	if code != http.StatusConflict {
 		t.Fatalf("stale report -> %d: %s", code, body)
 	}
@@ -246,7 +246,7 @@ func TestHTTPTypedErrors(t *testing.T) {
 	}
 
 	// Duplicate task in one batch: 400.
-	v := grant.Tasks[0].Task
+	v := grant.Tasks[0]
 	code, _ = postJSON(t, ts.URL+"/report", reportRequest{
 		Job: grant.Job, Epoch: grant.Epoch, Done: []dag.NodeID{v, v}})
 	if code != http.StatusBadRequest {

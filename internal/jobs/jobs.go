@@ -255,12 +255,12 @@ func newServer(cfg Config, dir string) *Server {
 // bumped epoch each), and jobs that were admitted but never activated
 // re-enter the pipeline.
 func Recover(dir string, cfg Config) (*Server, error) {
-	events, err := readManifest(dir)
+	events, valid, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	s := newServer(cfg, dir)
-	if s.man, err = openManifest(dir); err != nil {
+	if s.man, err = openManifest(dir, valid); err != nil {
 		return nil, err
 	}
 	var activated []*Job // activation-event order
@@ -617,21 +617,12 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 	return s.jobStatusLocked(j), nil
 }
 
-// TaskGrant is one granted task of a job-scoped grant.
-type TaskGrant struct {
-	Task dag.NodeID `json:"task"`
-	Name string     `json:"name"`
-}
-
-// GrantSet is one allocation: up to k tasks of ONE job (so a worker's
+// GrantSet is one allocation: up to k task ids of ONE job (so a worker's
 // batch — compute then report — stays job-scoped), stamped with the
-// job's fencing epoch.  An empty Tasks slice means nothing is
-// allocatable anywhere right now.
-type GrantSet struct {
-	Job   string      `json:"job,omitempty"`
-	Epoch uint64      `json:"epoch,omitempty"`
-	Tasks []TaskGrant `json:"tasks"`
-}
+// job's fencing epoch, with names only when the job's dag is labeled.  It
+// is the grant the fleet's engine reads, icserver's.  An empty Tasks
+// slice means nothing is allocatable anywhere right now.
+type GrantSet = icserver.Grant
 
 // Allocate grants up to k tasks from the job the weighted-fair policy
 // picks — the in-process form of POST /tasks.
@@ -686,15 +677,10 @@ func (s *Server) pickLocked(k int) (GrantSet, error) {
 			t.pass += float64(len(batch)) / float64(t.weight)
 			t.granted += len(batch)
 			s.m.granted.Add(float64(len(batch)))
-			grant := GrantSet{Job: j.id, Epoch: j.srv.Epoch(),
-				Tasks: make([]TaskGrant, len(batch))}
-			for i, v := range batch {
-				grant.Tasks[i] = TaskGrant{Task: v, Name: j.g.Name(v)}
-			}
-			return grant, nil
+			return GrantSet{Job: j.id, Epoch: j.srv.Epoch(), Tasks: batch, Names: icserver.GrantNames(j.g, batch)}, nil
 		}
 	}
-	return GrantSet{Tasks: []TaskGrant{}}, nil
+	return GrantSet{Tasks: []dag.NodeID{}}, nil
 }
 
 // finalizeJobLocked retires a terminal job: terminal accounting frozen,
@@ -780,7 +766,7 @@ func (s *Server) Report(jobID string, done, failed []dag.NodeID, epoch uint64, k
 		return ReportResult{}, fmt.Errorf("jobs: job %s is %s, not reportable", jobID, j.state)
 	}
 	s.m.reports.Inc()
-	res.Grant = GrantSet{Tasks: []TaskGrant{}}
+	res.Grant = GrantSet{Tasks: []dag.NodeID{}}
 	if k > 0 && !s.draining {
 		var err error
 		if res.Grant, err = s.pickLocked(k); err != nil {

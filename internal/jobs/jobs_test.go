@@ -130,12 +130,10 @@ func (h *harness) drain(k int) map[string]int {
 		if st, ok := h.s.JobByID(grant.Job); ok {
 			granted[st.Tenant] += len(grant.Tasks)
 		}
-		done := make([]dag.NodeID, len(grant.Tasks))
-		for i, tg := range grant.Tasks {
-			h.compute(grant.Job, tg.Task)
-			done[i] = tg.Task
+		for _, v := range grant.Tasks {
+			h.compute(grant.Job, v)
 		}
-		if _, err := h.s.Report(grant.Job, done, nil, grant.Epoch, 0); err != nil {
+		if _, err := h.s.Report(grant.Job, grant.Tasks, nil, grant.Epoch, 0); err != nil {
 			h.t.Fatalf("report %s: %v", grant.Job, err)
 		}
 	}
@@ -307,7 +305,7 @@ func TestWeightedFairShare(t *testing.T) {
 		}
 		st, _ := s.JobByID(grant.Job)
 		granted[st.Tenant] += len(grant.Tasks)
-		done := []dag.NodeID{grant.Tasks[0].Task}
+		done := []dag.NodeID{grant.Tasks[0]}
 		h.compute(grant.Job, done[0])
 		if _, err := s.Report(grant.Job, done, nil, grant.Epoch, 0); err != nil {
 			t.Fatal(err)
@@ -357,13 +355,13 @@ func TestReportFencingAndFinishedIdempotence(t *testing.T) {
 		t.Fatalf("allocate: %v %+v", err, grant)
 	}
 	// Stale epoch: rejected, current epoch carried for resync.
-	_, err = s.Report(id, []dag.NodeID{grant.Tasks[0].Task}, nil, grant.Epoch+7, 0)
+	_, err = s.Report(id, []dag.NodeID{grant.Tasks[0]}, nil, grant.Epoch+7, 0)
 	var stale StaleEpochError
 	if !errors.As(err, &stale) || stale.Epoch != grant.Epoch {
 		t.Fatalf("stale report: %v, want StaleEpochError{%d}", err, grant.Epoch)
 	}
 	// Duplicate task IDs in one batch: the whole batch is rejected.
-	v := grant.Tasks[0].Task
+	v := grant.Tasks[0]
 	if _, err := s.Report(id, []dag.NodeID{v, v}, nil, grant.Epoch, 0); err == nil ||
 		!strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate-in-batch report: %v, want twice-in-one-batch rejection", err)
@@ -426,12 +424,10 @@ func TestRecoverMidStream(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		done := make([]dag.NodeID, len(grant.Tasks))
-		for i, tg := range grant.Tasks {
-			h.compute(grant.Job, tg.Task)
-			done[i] = tg.Task
+		for _, v := range grant.Tasks {
+			h.compute(grant.Job, v)
 		}
-		if _, err := s.Report(grant.Job, done, nil, grant.Epoch, 0); err != nil {
+		if _, err := s.Report(grant.Job, grant.Tasks, nil, grant.Epoch, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,7 +499,7 @@ func TestRecoverMidStream(t *testing.T) {
 // never activated (its activate event is missing from the manifest).
 func TestRecoverQueuedJob(t *testing.T) {
 	dir := t.TempDir()
-	man, err := openManifest(dir)
+	man, err := openManifest(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +681,7 @@ func TestCloseDrains(t *testing.T) {
 
 func TestManifestTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
-	man, err := openManifest(dir)
+	man, err := openManifest(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +702,7 @@ func TestManifestTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	events, err := readManifest(dir)
+	events, _, err := readManifest(dir)
 	if err != nil {
 		t.Fatalf("torn tail rejected: %v", err)
 	}
@@ -717,7 +713,59 @@ func TestManifestTornTailTolerated(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json\n{\"event\":\"submit\",\"job\":\"j1\"}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readManifest(dir); err == nil {
+	if _, _, err := readManifest(dir); err == nil {
 		t.Fatal("interior corruption tolerated")
+	}
+}
+
+// TestManifestTornTailCutOnRecover: a kill mid-append leaves half an
+// event at the end of the manifest.  Recover must cut it off before it
+// appends, or the next event lands after the torn bytes and the
+// following recovery reads them as interior corruption: here a job
+// submitted after the first recovery must survive a second kill and
+// recovery and finish.
+func TestManifestTornTailCutOnRecover(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Lease: time.Minute}
+	sp := Spec{Tenant: "a", Family: "prefix", Size: 8}
+	s, err := Recover(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, s)
+	h.submit(sp)
+	h.drain(4)
+	s.Kill()
+	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"event":"submit","at":7,"job":"j9","ten`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s, err = Recover(dir, cfg)
+	if err != nil {
+		t.Fatalf("recover over a torn tail: %v", err)
+	}
+	st, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.Job, StateActive) // submit and activate are both journaled
+	s.Kill()
+
+	s, err = Recover(dir, cfg)
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer closeServer(s)
+	h = newHarness(t, s)
+	h.track(st.Job, sp)
+	h.drain(4)
+	h.checkValues(map[string]Spec{st.Job: sp})
+	if got, _ := s.JobByID(st.Job); got.State != StateFinished || got.Completed != got.Nodes {
+		t.Fatalf("job submitted after the torn tail: %+v", got)
 	}
 }

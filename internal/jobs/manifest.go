@@ -1,7 +1,7 @@
 package jobs
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -51,10 +51,25 @@ type manifest struct {
 	closed bool
 }
 
-func openManifest(dir string) (*manifest, error) {
+// openManifest opens the manifest for appending.  valid is the length of
+// its valid prefix (readManifest's); a torn tail beyond it is cut off and
+// the cut made durable first, or the next event would land after the torn
+// bytes and the following recovery would read them as interior
+// corruption.
+func openManifest(dir string, valid int64) (*manifest, error) {
 	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: manifest: %w", err)
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > valid {
+		if err = f.Truncate(valid); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("jobs: manifest: cut torn tail: %w", err)
 	}
 	return &manifest{f: f}, nil
 }
@@ -102,37 +117,36 @@ func (m *manifest) kill() {
 
 // readManifest scans a jobs directory's manifest, tolerating a torn
 // final line (a kill mid-append): the longest valid prefix of events is
-// returned, and interior corruption is an error — it means the file was
-// edited, not torn.
-func readManifest(dir string) (events []manifestEvent, err error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
+// returned with its length in bytes, and interior corruption is an error
+// — it means the file was edited, not torn.  Every event is written with
+// its newline in one write, so a final line without one is torn even if
+// it parses: that append was never acknowledged.
+func readManifest(dir string) (events []manifestEvent, valid int64, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, 0, nil
 	} else if err != nil {
-		return nil, fmt.Errorf("jobs: manifest: %w", err)
+		return nil, 0, fmt.Errorf("jobs: manifest: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	var pendingErr error
-	for sc.Scan() {
-		if pendingErr != nil {
-			// A bad line followed by more lines is interior corruption.
-			return nil, pendingErr
+	for rest := data; len(rest) > 0; {
+		i := bytes.IndexByte(rest, '\n')
+		if i < 0 {
+			break // torn final line
 		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		line := rest[:i]
+		rest = rest[i+1:]
+		if len(bytes.TrimSpace(line)) > 0 {
+			var ev manifestEvent
+			if uerr := json.Unmarshal(line, &ev); uerr != nil {
+				if len(bytes.TrimSpace(rest)) > 0 {
+					// A bad line followed by more lines is interior corruption.
+					return nil, 0, fmt.Errorf("jobs: manifest line %d: %w", len(events)+1, uerr)
+				}
+				break // torn final line
+			}
+			events = append(events, ev)
 		}
-		var ev manifestEvent
-		if uerr := json.Unmarshal(line, &ev); uerr != nil {
-			pendingErr = fmt.Errorf("jobs: manifest line %d: %w", len(events)+1, uerr)
-			continue
-		}
-		events = append(events, ev)
+		valid = int64(len(data) - len(rest))
 	}
-	if serr := sc.Err(); serr != nil {
-		return nil, fmt.Errorf("jobs: manifest: %w", serr)
-	}
-	return events, nil
+	return events, valid, nil
 }
