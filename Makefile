@@ -26,7 +26,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/heur ./internal/icserver ./internal/opt
+	$(GO) test -bench=. -benchmem . ./internal/dag ./internal/exec ./internal/heur ./internal/icserver ./internal/opt
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -39,7 +39,7 @@ ci: fmt vet test race benchsmoke grantalloc observability wire oracle chaos \
 	journal jobs grantcore schedcache benchmark experiments difftest stress fuzz
 
 benchsmoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/opt
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' . ./internal/dag ./internal/exec ./internal/opt
 
 grantalloc:
 	$(MATCH) 'StaticPool|ScoredPoliciesMatchScan|RanksTotal|ReportAllocateAllocs|LeaseSemanticsGolden|RecoverJournalWrittenBeforeDenseState|LatencyHistogramsResolve' ./internal/heur/ ./internal/icserver/
@@ -93,6 +93,7 @@ stress:
 	$(MATCH) -race StressConcurrent ./internal/difftest/
 
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/dag/
 	$(GO) test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerProtocol$$' -fuzztime 30s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalJSON$$' -fuzztime 30s ./internal/dagio/

@@ -8,14 +8,24 @@
 // disjoint sum of dags, topological utilities, and DOT export for
 // regenerating the paper's figures.
 //
-// Nodes are dense integer IDs in [0, N).  All structural slices returned by
-// query methods are shared, read-only views; callers must not mutate them.
+// Nodes are dense integer IDs in [0, N).  A Dag stores each direction as
+// compressed sparse rows (CSR): one offsets array of length N+1 and one
+// adjacency array holding every row back to back, sorted and free of
+// duplicates, so a dag is four flat arrays with no per-node pointers.
+// Builder.Build fills them in O(N + M) with counting sorts.
+//
+// Children and Parents return shared, read-only views into those arrays;
+// callers must not mutate them.  Each view's capacity is capped at its
+// length, so an append copies instead of overwriting the next row.  Dags
+// are immutable, so Dual shares its argument's arrays (the two directions
+// swapped) instead of copying them.
 package dag
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -31,39 +41,50 @@ type Arc struct {
 
 // Dag is an immutable directed acyclic graph.  Construct one with a
 // Builder; the zero Dag is the empty dag.
+//
+// Both directions are stored as compressed sparse rows: the children of
+// u are cAdj[cOff[u]:cOff[u+1]] and the parents of v are
+// pAdj[pOff[v]:pOff[v+1]], every row sorted and free of duplicates.
 type Dag struct {
-	n        int
-	children [][]NodeID // children[u] = sorted list of v with (u->v)
-	parents  [][]NodeID // parents[v]  = sorted list of u with (u->v)
-	labels   []string   // optional node labels ("" when unset)
-	arcCount int
+	n          int
+	cOff, pOff []int32  // length n+1 (nil for the zero Dag)
+	cAdj, pAdj []NodeID // length NumArcs
+	labels     []string // optional node labels ("" when unset)
 }
 
 // NumNodes returns the number of nodes.
 func (g *Dag) NumNodes() int { return g.n }
 
 // NumArcs returns the number of arcs.
-func (g *Dag) NumArcs() int { return g.arcCount }
+func (g *Dag) NumArcs() int { return len(g.cAdj) }
 
-// Children returns the children of u (nodes that depend on u).
-// The returned slice is shared and must not be mutated.
-func (g *Dag) Children(u NodeID) []NodeID { return g.children[u] }
+// row returns adj[off[u]:off[u+1]] with its capacity capped at its
+// length, so an append to it reallocates instead of overwriting the next
+// row.
+func row(off []int32, adj []NodeID, u NodeID) []NodeID {
+	lo, hi := off[u], off[u+1]
+	return adj[lo:hi:hi]
+}
 
-// Parents returns the parents of v (nodes v depends on).
+// Children returns the children of u (nodes that depend on u), sorted.
 // The returned slice is shared and must not be mutated.
-func (g *Dag) Parents(v NodeID) []NodeID { return g.parents[v] }
+func (g *Dag) Children(u NodeID) []NodeID { return row(g.cOff, g.cAdj, u) }
+
+// Parents returns the parents of v (nodes v depends on), sorted.
+// The returned slice is shared and must not be mutated.
+func (g *Dag) Parents(v NodeID) []NodeID { return row(g.pOff, g.pAdj, v) }
 
 // InDegree returns the number of parents of v.
-func (g *Dag) InDegree(v NodeID) int { return len(g.parents[v]) }
+func (g *Dag) InDegree(v NodeID) int { return int(g.pOff[v+1] - g.pOff[v]) }
 
 // OutDegree returns the number of children of u.
-func (g *Dag) OutDegree(u NodeID) int { return len(g.children[u]) }
+func (g *Dag) OutDegree(u NodeID) int { return int(g.cOff[u+1] - g.cOff[u]) }
 
 // IsSource reports whether v has no parents.
-func (g *Dag) IsSource(v NodeID) bool { return len(g.parents[v]) == 0 }
+func (g *Dag) IsSource(v NodeID) bool { return g.pOff[v+1] == g.pOff[v] }
 
 // IsSink reports whether v has no children.
-func (g *Dag) IsSink(v NodeID) bool { return len(g.children[v]) == 0 }
+func (g *Dag) IsSink(v NodeID) bool { return g.cOff[v+1] == g.cOff[v] }
 
 // Label returns the label of v, or "" if none was set.
 func (g *Dag) Label(v NodeID) string {
@@ -135,9 +156,9 @@ func (g *Dag) NonSources() []NodeID {
 
 // Arcs returns all arcs, sorted by (From, To).
 func (g *Dag) Arcs() []Arc {
-	out := make([]Arc, 0, g.arcCount)
+	out := make([]Arc, 0, g.NumArcs())
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.children[u] {
+		for _, v := range g.Children(NodeID(u)) {
 			out = append(out, Arc{NodeID(u), v})
 		}
 	}
@@ -146,9 +167,8 @@ func (g *Dag) Arcs() []Arc {
 
 // HasArc reports whether the arc (u -> v) is present.
 func (g *Dag) HasArc(u, v NodeID) bool {
-	cs := g.children[u]
-	i := sort.Search(len(cs), func(i int) bool { return cs[i] >= v })
-	return i < len(cs) && cs[i] == v
+	_, found := slices.BinarySearch(g.Children(u), v)
+	return found
 }
 
 // Connected reports whether the dag is connected when arc orientations are
@@ -164,14 +184,14 @@ func (g *Dag) Connected() bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.children[u] {
+		for _, v := range g.Children(u) {
 			if !seen[v] {
 				seen[v] = true
 				count++
 				stack = append(stack, v)
 			}
 		}
-		for _, v := range g.parents[u] {
+		for _, v := range g.Parents(u) {
 			if !seen[v] {
 				seen[v] = true
 				count++
@@ -183,49 +203,18 @@ func (g *Dag) Connected() bool {
 }
 
 // Dual returns the dual dag: same nodes, every arc reversed, so sources and
-// sinks interchange (§2.3.2).  Labels are preserved.
+// sinks interchange (§2.3.2).  Labels are preserved.  The dual shares g's
+// storage, both directions swapped, so it costs O(1).
 func (g *Dag) Dual() *Dag {
-	d := &Dag{
-		n:        g.n,
-		children: make([][]NodeID, g.n),
-		parents:  make([][]NodeID, g.n),
-		arcCount: g.arcCount,
-	}
-	for v := 0; v < g.n; v++ {
-		d.children[v] = append([]NodeID(nil), g.parents[v]...)
-		d.parents[v] = append([]NodeID(nil), g.children[v]...)
-	}
-	if g.labels != nil {
-		d.labels = append([]string(nil), g.labels...)
-	}
-	return d
+	return &Dag{n: g.n, cOff: g.pOff, cAdj: g.pAdj, pOff: g.cOff, pAdj: g.cAdj, labels: g.labels}
 }
 
 // Sum returns the disjoint sum g + h (§2.3.1, footnote 4): the nodes of h
 // are renumbered to follow those of g; no arcs are added between the parts.
 func Sum(g, h *Dag) *Dag {
-	s := &Dag{
-		n:        g.n + h.n,
-		children: make([][]NodeID, g.n+h.n),
-		parents:  make([][]NodeID, g.n+h.n),
-		arcCount: g.arcCount + h.arcCount,
-	}
-	for v := 0; v < g.n; v++ {
-		s.children[v] = append([]NodeID(nil), g.children[v]...)
-		s.parents[v] = append([]NodeID(nil), g.parents[v]...)
-	}
-	off := NodeID(g.n)
-	shift := func(xs []NodeID) []NodeID {
-		out := make([]NodeID, len(xs))
-		for i, x := range xs {
-			out[i] = x + off
-		}
-		return out
-	}
-	for v := 0; v < h.n; v++ {
-		s.children[g.n+v] = shift(h.children[v])
-		s.parents[g.n+v] = shift(h.parents[v])
-	}
+	s := &Dag{n: g.n + h.n}
+	s.cOff, s.cAdj = sumRows(g.n, g.cOff, g.cAdj, h.n, h.cOff, h.cAdj)
+	s.pOff, s.pAdj = sumRows(g.n, g.pOff, g.pAdj, h.n, h.pOff, h.pAdj)
 	if g.labels != nil || h.labels != nil {
 		s.labels = make([]string, s.n)
 		for v := 0; v < g.n; v++ {
@@ -238,12 +227,29 @@ func Sum(g, h *Dag) *Dag {
 	return s
 }
 
+// sumRows concatenates two CSR directions, shifting the second's node IDs
+// by gn and its offsets by the first's arc count.
+func sumRows(gn int, gOff []int32, gAdj []NodeID, hn int, hOff []int32, hAdj []NodeID) ([]int32, []NodeID) {
+	off := make([]int32, gn+hn+1)
+	copy(off, gOff)
+	m := int32(len(gAdj))
+	for v := 1; v <= hn; v++ {
+		off[gn+v] = hOff[v] + m
+	}
+	adj := make([]NodeID, len(gAdj)+len(hAdj))
+	copy(adj, gAdj)
+	for i, x := range hAdj {
+		adj[len(gAdj)+i] = x + NodeID(gn)
+	}
+	return off, adj
+}
+
 // TopoOrder returns a topological order of the nodes (Kahn's algorithm,
 // smallest-ID-first for determinism).
 func (g *Dag) TopoOrder() []NodeID {
 	indeg := make([]int, g.n)
 	for v := 0; v < g.n; v++ {
-		indeg[v] = len(g.parents[v])
+		indeg[v] = g.InDegree(NodeID(v))
 	}
 	// A simple binary heap keyed by NodeID keeps the order deterministic.
 	var heap nodeHeap
@@ -256,7 +262,7 @@ func (g *Dag) TopoOrder() []NodeID {
 	for heap.len() > 0 {
 		u := heap.pop()
 		order = append(order, u)
-		for _, v := range g.children[u] {
+		for _, v := range g.Children(u) {
 			indeg[v]--
 			if indeg[v] == 0 {
 				heap.push(v)
@@ -271,7 +277,7 @@ func (g *Dag) TopoOrder() []NodeID {
 func (g *Dag) Depths() []int {
 	depth := make([]int, g.n)
 	for _, u := range g.TopoOrder() {
-		for _, v := range g.children[u] {
+		for _, v := range g.Children(u) {
 			if depth[u]+1 > depth[v] {
 				depth[v] = depth[u] + 1
 			}
@@ -287,7 +293,7 @@ func (g *Dag) Heights() []int {
 	order := g.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
-		for _, v := range g.children[u] {
+		for _, v := range g.Children(u) {
 			if height[v]+1 > height[u] {
 				height[u] = height[v] + 1
 			}
@@ -319,7 +325,7 @@ func (g *Dag) Reachable(u NodeID) []bool {
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.children[x] {
+		for _, v := range g.Children(x) {
 			if !seen[v] {
 				seen[v] = true
 				stack = append(stack, v)
@@ -332,21 +338,11 @@ func (g *Dag) Reachable(u NodeID) []bool {
 // Equal reports whether g and h are identical as labeled graphs on the same
 // node IDs (same node count and same arc set; labels are ignored).
 func Equal(g, h *Dag) bool {
-	if g.n != h.n || g.arcCount != h.arcCount {
+	if g.n != h.n {
 		return false
 	}
-	for u := 0; u < g.n; u++ {
-		a, b := g.children[u], h.children[u]
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-	}
-	return true
+	// Rows are sorted and duplicate-free, so the children CSR is canonical.
+	return g.n == 0 || slices.Equal(g.cOff, h.cOff) && slices.Equal(g.cAdj, h.cAdj)
 }
 
 // DOT renders the dag in Graphviz DOT syntax, for visual comparison with
@@ -358,7 +354,7 @@ func (g *Dag) DOT(name string) string {
 		fmt.Fprintf(&b, "  %d [label=%q];\n", v, g.Name(NodeID(v)))
 	}
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.children[u] {
+		for _, v := range g.Children(NodeID(u)) {
 			fmt.Fprintf(&b, "  %d -> %d;\n", u, v)
 		}
 	}
@@ -369,7 +365,7 @@ func (g *Dag) DOT(name string) string {
 // String returns a compact structural summary.
 func (g *Dag) String() string {
 	return fmt.Sprintf("dag{nodes:%d arcs:%d sources:%d sinks:%d}",
-		g.n, g.arcCount, len(g.Sources()), len(g.Sinks()))
+		g.n, g.NumArcs(), len(g.Sources()), len(g.Sinks()))
 }
 
 // errCycle is returned by Builder.Build when the arc set contains a cycle.
@@ -427,52 +423,141 @@ func (b *Builder) AddArc(u, v NodeID) {
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return b.n }
 
-// Build validates and freezes the dag.  It fails if an arc endpoint is out
-// of range, if a self-loop is present, or if the arc set contains a cycle.
+// Build validates and freezes the dag.  It fails if an arc endpoint or a
+// labeled node is out of range, if a self-loop is present, or if the arc
+// set contains a cycle.  It runs in O(n + m) time: two counting sorts
+// order the arcs by (From, To) without comparisons.
 func (b *Builder) Build() (*Dag, error) {
-	g := &Dag{
-		n:        b.n,
-		children: make([][]NodeID, b.n),
-		parents:  make([][]NodeID, b.n),
+	n := b.n
+	if len(b.arcs) > math.MaxInt32 {
+		return nil, fmt.Errorf("dag: %d arcs exceed the %d a dag can hold", len(b.arcs), math.MaxInt32)
 	}
+	// Validate, and count each node's arcs in both directions.
+	pOff := make([]int32, n+1)
+	cOff := make([]int32, n+1)
 	for _, a := range b.arcs {
-		if a.From < 0 || int(a.From) >= b.n || a.To < 0 || int(a.To) >= b.n {
-			return nil, fmt.Errorf("dag: arc (%d->%d) out of range [0,%d)", a.From, a.To, b.n)
+		if a.From < 0 || int(a.From) >= n || a.To < 0 || int(a.To) >= n {
+			return nil, fmt.Errorf("dag: arc (%d->%d) out of range [0,%d)", a.From, a.To, n)
 		}
 		if a.From == a.To {
 			return nil, fmt.Errorf("dag: self-loop at node %d", a.From)
 		}
+		pOff[a.To+1]++
+		cOff[a.From+1]++
 	}
-	sort.Slice(b.arcs, func(i, j int) bool {
-		if b.arcs[i].From != b.arcs[j].From {
-			return b.arcs[i].From < b.arcs[j].From
-		}
-		return b.arcs[i].To < b.arcs[j].To
-	})
-	var prev Arc
-	first := true
+	if err := b.checkLabels(); err != nil {
+		return nil, err
+	}
+	prefixSum(pOff)
+	prefixSum(cOff)
+
+	// First pass: bucket each arc's tail under its head.  Second pass:
+	// walk the heads in increasing order and append each one to its
+	// tails' rows, so every children row comes out sorted, duplicates
+	// adjacent.
+	cur := make([]int32, n)
+	tails := make([]NodeID, len(b.arcs))
+	copy(cur, pOff)
 	for _, a := range b.arcs {
-		if !first && a == prev {
-			continue // coalesce duplicates
+		tails[cur[a.To]] = a.From
+		cur[a.To]++
+	}
+	cAdj := make([]NodeID, len(b.arcs))
+	copy(cur, cOff)
+	for v := 0; v < n; v++ {
+		for _, u := range tails[pOff[v]:pOff[v+1]] {
+			cAdj[cur[u]] = NodeID(v)
+			cur[u]++
 		}
-		first, prev = false, a
-		g.children[a.From] = append(g.children[a.From], a.To)
-		g.parents[a.To] = append(g.parents[a.To], a.From)
-		g.arcCount++
 	}
-	for v := range g.parents {
-		sort.Slice(g.parents[v], func(i, j int) bool { return g.parents[v][i] < g.parents[v][j] })
+	// Drop the duplicates in place, compacting the rows leftwards.
+	w := int32(0)
+	for u := 0; u < n; u++ {
+		lo, hi := cOff[u], cOff[u+1]
+		cOff[u] = w
+		for i := lo; i < hi; i++ {
+			if i == lo || cAdj[i] != cAdj[w-1] {
+				cAdj[w] = cAdj[i]
+				w++
+			}
+		}
 	}
-	if len(g.TopoOrder()) != g.n {
+	cOff[n] = w
+	cAdj = cAdj[:w]
+
+	// Parents: one pass over the children rows in increasing From order
+	// fills every parents row sorted.  The tails buffer is reused.
+	clear(pOff)
+	for _, v := range cAdj {
+		pOff[v+1]++
+	}
+	prefixSum(pOff)
+	pAdj := tails[:w]
+	copy(cur, pOff)
+	for u := 0; u < n; u++ {
+		for _, v := range cAdj[cOff[u]:cOff[u+1]] {
+			pAdj[cur[v]] = NodeID(u)
+			cur[v]++
+		}
+	}
+
+	g := &Dag{n: n, cOff: cOff, cAdj: cAdj, pOff: pOff, pAdj: pAdj}
+	if !g.acyclic(cur) {
 		return nil, errCycle
 	}
 	if len(b.labels) > 0 {
-		g.labels = make([]string, g.n)
+		g.labels = make([]string, n)
 		for v, l := range b.labels {
 			g.labels[v] = l
 		}
 	}
 	return g, nil
+}
+
+// checkLabels reports the smallest labeled node outside [0, n), if any.
+func (b *Builder) checkLabels() error {
+	bad, found := NodeID(0), false
+	for v := range b.labels {
+		if (v < 0 || int(v) >= b.n) && (!found || v < bad) {
+			bad, found = v, true
+		}
+	}
+	if found {
+		return fmt.Errorf("dag: label on node %d out of range [0,%d)", bad, b.n)
+	}
+	return nil
+}
+
+// prefixSum turns per-node counts stored at off[v+1] into row offsets.
+func prefixSum(off []int32) {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+}
+
+// acyclic runs Kahn's count over a plain stack: the dag is acyclic iff
+// every node is eventually popped.  indeg is scratch of length n.
+func (g *Dag) acyclic(indeg []int32) bool {
+	stack := make([]NodeID, 0, g.n)
+	for v := 0; v < g.n; v++ {
+		indeg[v] = int32(g.InDegree(NodeID(v)))
+		if indeg[v] == 0 {
+			stack = append(stack, NodeID(v))
+		}
+	}
+	popped := 0
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		popped++
+		for _, v := range g.Children(u) {
+			indeg[v]--
+			if indeg[v] == 0 {
+				stack = append(stack, v)
+			}
+		}
+	}
+	return popped == g.n
 }
 
 // MustBuild is Build but panics on error; for use with statically correct

@@ -29,7 +29,7 @@ func (g *Dag) TransitiveClosure() *Dag {
 func (g *Dag) TransitiveReduction() *Dag {
 	b := NewBuilder(g.n)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.children[u] {
+		for _, v := range g.Children(NodeID(u)) {
 			if !g.reachesAvoidingDirectArc(NodeID(u), v) {
 				b.AddArc(NodeID(u), v)
 			}
@@ -57,7 +57,7 @@ func (g *Dag) TransitiveReduction() *Dag {
 func (g *Dag) reachesAvoidingDirectArc(u, v NodeID) bool {
 	seen := make([]bool, g.n)
 	var stack []NodeID
-	for _, c := range g.children[u] {
+	for _, c := range g.Children(u) {
 		if c != v {
 			stack = append(stack, c)
 			seen[c] = true
@@ -69,7 +69,7 @@ func (g *Dag) reachesAvoidingDirectArc(u, v NodeID) bool {
 		if x == v {
 			return true
 		}
-		for _, c := range g.children[x] {
+		for _, c := range g.Children(x) {
 			if !seen[c] {
 				seen[c] = true
 				stack = append(stack, c)

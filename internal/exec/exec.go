@@ -10,7 +10,6 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 
@@ -118,7 +117,7 @@ func RunRetryObserved(g *dag.Dag, rank []int, workers, maxAttempts int,
 		cond      = sync.NewCond(&mu)
 		remaining = make([]int32, n)
 		attempts  = make([]int, n)
-		ready     = rankHeap{rank: rank}
+		ready     = rankHeap{rank: rank, xs: make([]dag.NodeID, 0, n)}
 		started   = make([]dag.NodeID, 0, n)
 		completed int
 		inFlight  int
@@ -127,13 +126,13 @@ func RunRetryObserved(g *dag.Dag, rank []int, workers, maxAttempts int,
 	for v := 0; v < n; v++ {
 		remaining[v] = int32(g.InDegree(dag.NodeID(v)))
 		if remaining[v] == 0 {
-			heap.Push(&ready, dag.NodeID(v))
+			ready.push(dag.NodeID(v))
 		}
 	}
 	// eligible is the §2.2 |ELIGIBLE| count: unexecuted nodes whose
 	// parents have all executed.  A node in flight (started, not yet
 	// completed) is still ELIGIBLE in the quality model.
-	eligible := func() int { return ready.Len() + inFlight }
+	eligible := func() int { return len(ready.xs) + inFlight }
 	if o != nil {
 		o.Observe(obs.Event{Phase: obs.PhaseRunStart, Task: -1, Eligible: eligible()})
 	}
@@ -146,15 +145,15 @@ func RunRetryObserved(g *dag.Dag, rank []int, workers, maxAttempts int,
 			actor := fmt.Sprintf("worker-%d", worker)
 			for {
 				mu.Lock()
-				for ready.Len() == 0 && completed+inFlight < n && firstErr == nil {
+				for len(ready.xs) == 0 && completed+inFlight < n && firstErr == nil {
 					cond.Wait()
 				}
-				if firstErr != nil || (completed+inFlight == n && ready.Len() == 0) {
+				if firstErr != nil || (completed+inFlight == n && len(ready.xs) == 0) {
 					mu.Unlock()
 					cond.Broadcast()
 					return
 				}
-				v := heap.Pop(&ready).(dag.NodeID)
+				v := ready.pop()
 				started = append(started, v)
 				attempts[v]++
 				inFlight++
@@ -175,7 +174,7 @@ func RunRetryObserved(g *dag.Dag, rank []int, workers, maxAttempts int,
 						for _, c := range g.Children(v) {
 							remaining[c]--
 							if remaining[c] == 0 {
-								heap.Push(&ready, c)
+								ready.push(c)
 							}
 						}
 					}
@@ -184,7 +183,7 @@ func RunRetryObserved(g *dag.Dag, rank []int, workers, maxAttempts int,
 							Actor: actor, Attempt: attempts[v], Eligible: eligible()})
 					}
 				case attempts[v] < maxAttempts:
-					heap.Push(&ready, v) // retry: back in the pool
+					ready.push(v) // retry: back in the pool
 					if o != nil {
 						o.Observe(obs.Event{Phase: obs.PhaseRetry, Task: int(v), Name: g.Name(v),
 							Actor: actor, Attempt: attempts[v], Eligible: eligible(), Err: err.Error()})
@@ -219,26 +218,57 @@ func RunRetryObserved(g *dag.Dag, rank []int, workers, maxAttempts int,
 	return started, nil
 }
 
-// rankHeap is a min-heap of node IDs ordered by rank (ties by ID).
+// rankHeap is a min-heap of node IDs ordered by rank (ties by ID).  The
+// key is a total order on distinct nodes and a node is never in the heap
+// twice, so the pop sequence is the same for any correct heap.
 type rankHeap struct {
 	rank []int
 	xs   []dag.NodeID
 }
 
-func (h rankHeap) Len() int { return len(h.xs) }
-func (h rankHeap) Less(i, j int) bool {
-	ri, rj := h.rank[h.xs[i]], h.rank[h.xs[j]]
-	if ri != rj {
-		return ri < rj
+func (h *rankHeap) less(a, b dag.NodeID) bool {
+	if ra, rb := h.rank[a], h.rank[b]; ra != rb {
+		return ra < rb
 	}
-	return h.xs[i] < h.xs[j]
+	return a < b
 }
-func (h rankHeap) Swap(i, j int) { h.xs[i], h.xs[j] = h.xs[j], h.xs[i] }
-func (h *rankHeap) Push(x any)   { h.xs = append(h.xs, x.(dag.NodeID)) }
-func (h *rankHeap) Pop() any {
-	old := h.xs
-	n := len(old)
-	v := old[n-1]
-	h.xs = old[:n-1]
-	return v
+
+func (h *rankHeap) push(v dag.NodeID) {
+	h.xs = append(h.xs, v)
+	i := len(h.xs) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(v, h.xs[p]) {
+			break
+		}
+		h.xs[i] = h.xs[p]
+		i = p
+	}
+	h.xs[i] = v
+}
+
+func (h *rankHeap) pop() dag.NodeID {
+	top := h.xs[0]
+	last := len(h.xs) - 1
+	v := h.xs[last]
+	h.xs = h.xs[:last]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h.less(h.xs[c+1], h.xs[c]) {
+			c++
+		}
+		if !h.less(h.xs[c], v) {
+			break
+		}
+		h.xs[i] = h.xs[c]
+		i = c
+	}
+	if last > 0 {
+		h.xs[i] = v
+	}
+	return top
 }

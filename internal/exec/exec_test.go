@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"icsched/internal/butterfly"
 	"icsched/internal/dag"
 	"icsched/internal/exec"
 	"icsched/internal/mesh"
@@ -350,5 +351,23 @@ func TestObserverSeesRetries(t *testing.T) {
 	}
 	if counts[obs.PhaseRunStart] != 1 || counts[obs.PhaseRunEnd] != 1 {
 		t.Fatalf("phase counts %v, want run-start and run-end", counts)
+	}
+}
+
+// BenchmarkRunSerial is the bench harness's serial reference run: the
+// d=11 butterfly (24,576 nodes) in IC-optimal rank order on one worker
+// with an empty task, so the ready pool and the dag walk are the cost.
+func BenchmarkRunSerial(b *testing.B) {
+	g := butterfly.Network(11)
+	rank, err := exec.RankFromOrder(g, sched.Complete(g, butterfly.Nonsinks(11)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(g, rank, 1, func(dag.NodeID) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

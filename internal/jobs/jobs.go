@@ -162,6 +162,10 @@ type Server struct {
 	analyzeCh  chan *Job
 	activateCh chan *Job
 	wg         sync.WaitGroup
+	// activating is held while the activator builds a job's task server
+	// off mu; Kill takes it first, so no activation writes to disk
+	// after Kill returns.
+	activating sync.Mutex
 
 	now   func() time.Time
 	start time.Time
@@ -448,44 +452,68 @@ func (s *Server) analyzeCached(j *Job) error {
 func (s *Server) activator() {
 	defer s.wg.Done()
 	for j := range s.activateCh {
-		s.mu.Lock()
-		if s.killed || s.draining || s.manErr != nil {
-			// Dropped from memory; the manifest still holds the submission,
-			// so a future Recover re-admits it.
-			s.mu.Unlock()
-			continue
-		}
-		if j.buildErr != nil {
-			s.failJobLocked(j, j.buildErr)
-			s.mu.Unlock()
-			continue
-		}
-		srv, err := s.jobCore(j)
-		if err != nil {
-			s.failJobLocked(j, err)
-			s.mu.Unlock()
-			continue
-		}
-		j.srv = srv
-		j.state = StateActive
-		j.activatedAt = s.now()
-		// No request waits on the activator: a failed write only wounds
-		// the service (s.manErr), which refuses every later request.
-		_ = s.journalLocked(manifestEvent{Event: "activate", At: j.activatedAt.UnixNano(),
-			Job: j.id, Replay: j.replay})
-		t := s.tenantFor(j.spec.Tenant, j.spec.Weight)
-		if len(t.active) == 0 {
-			// A tenant rejoining after idling must not cash in the pass it
-			// never advanced: it re-enters at the current fair front.
-			if min, ok := s.minActivePassLocked(); ok && min > t.pass {
-				t.pass = min
-			}
-		}
-		t.active = append(t.active, j)
-		t.queued--
-		s.syncGaugesLocked()
-		s.mu.Unlock()
+		s.activating.Lock()
+		s.activate(j)
+		s.activating.Unlock()
 	}
+}
+
+// activate admits one analyzed job.  Its task server is built off s.mu —
+// on a durable service that is a directory, a segment, a fence record
+// and an fsync — so grants and reports for the other jobs go on
+// meanwhile; the service's state is rechecked under the lock afterwards.
+func (s *Server) activate(j *Job) {
+	s.mu.Lock()
+	if s.dropActivationLocked() {
+		s.mu.Unlock()
+		return
+	}
+	if j.buildErr != nil {
+		s.failJobLocked(j, j.buildErr)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+
+	srv, err := s.jobCore(j)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dropActivationLocked() {
+		if srv != nil {
+			srv.Kill()
+		}
+		return
+	}
+	if err != nil {
+		s.failJobLocked(j, err)
+		return
+	}
+	j.srv = srv
+	j.state = StateActive
+	j.activatedAt = s.now()
+	// No request waits on the activator: a failed write only wounds
+	// the service (s.manErr), which refuses every later request.
+	_ = s.journalLocked(manifestEvent{Event: "activate", At: j.activatedAt.UnixNano(),
+		Job: j.id, Replay: j.replay})
+	t := s.tenantFor(j.spec.Tenant, j.spec.Weight)
+	if len(t.active) == 0 {
+		// A tenant rejoining after idling must not cash in the pass it
+		// never advanced: it re-enters at the current fair front.
+		if min, ok := s.minActivePassLocked(); ok && min > t.pass {
+			t.pass = min
+		}
+	}
+	t.active = append(t.active, j)
+	t.queued--
+	s.syncGaugesLocked()
+}
+
+// dropActivationLocked reports whether the activator must drop a job
+// (caller holds s.mu): it stays out of memory, and the manifest still
+// holds its submission, so a future Recover re-admits it.
+func (s *Server) dropActivationLocked() bool {
+	return s.killed || s.draining || s.manErr != nil
 }
 
 // failJobLocked marks a job rejected by build/analysis (caller holds
@@ -961,6 +989,8 @@ func (s *Server) Close(ctx context.Context) error {
 // refused.  A successor rebuilds the whole multi-job state with
 // Recover.
 func (s *Server) Kill() {
+	s.activating.Lock()
+	defer s.activating.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.killed {

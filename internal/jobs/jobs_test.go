@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -493,6 +494,76 @@ func TestRecoverMidStream(t *testing.T) {
 	specs[eid] = extra
 	h2.drain(4)
 	h2.checkValues(specs)
+}
+
+// TestActivationDoesNotBlockGrants holds job B's journal fence fsync
+// inside the task journal's FsyncObserver while B is being activated:
+// grants for the already-active job A must not wait behind it.
+func TestActivationDoesNotBlockGrants(t *testing.T) {
+	var armed atomic.Bool
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	cfg := Config{Wal: wal.Options{FsyncObserver: func(time.Duration) {
+		if armed.Load() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+	}}}
+	s, err := Recover(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	unblock := func() {
+		if !released {
+			released = true
+			close(release)
+		}
+	}
+	defer func() {
+		unblock()
+		s.Kill()
+	}()
+	h := newHarness(t, s)
+	aid := h.submit(Spec{Tenant: "a", Family: "prefix", Size: 8})
+	waitState(t, s, aid, StateActive)
+
+	// A's journal is clean (its fence was synced), so the next fsync to
+	// reach the observer is B's fence.
+	armed.Store(true)
+	bid := h.submit(Spec{Tenant: "b", Family: "wavefront", Size: 4})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job B's fence fsync never reached the observer")
+	}
+
+	type result struct {
+		grant GrantSet
+		err   error
+	}
+	got := make(chan result, 1)
+	go func() {
+		g, err := s.Allocate(4)
+		got <- result{g, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.grant.Job != aid || len(r.grant.Tasks) == 0 {
+			t.Fatalf("grant during B's activation = %+v, want tasks of %s", r.grant, aid)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Allocate blocked behind job B's activation")
+	}
+
+	unblock()
+	waitState(t, s, bid, StateActive)
 }
 
 // TestRecoverQueuedJob re-admits a job that was durably submitted but
