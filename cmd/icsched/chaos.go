@@ -22,7 +22,7 @@ import (
 func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	traceOut := fs.String("trace", "", "write the task trace to this file (.json for chrome://tracing, .jsonl for raw events)")
-	batch := fs.Int("batch", 0, "use the batched protocol with this per-grant cap (0 = legacy protocol)")
+	batch := fs.Int("batch", 1, "per-grant cap of the client fleet (1 = one task per request)")
 	kills := fs.Int("kills", 0, "additionally run the server-kill lane: SIGKILL/journal-restart the server this many times mid-run on a 32×32 wavefront")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,9 +46,7 @@ func cmdChaos(args []string) error {
 	fmt.Printf("chaos run (seed %d): crash %.0f%%, compute-error %.0f%%, drop %.0f%%, 500s %.0f%%, latency %.0f%%\n",
 		seed, 100*rates.Crash, 100*rates.ComputeError, 100*rates.DropResponse,
 		100*rates.HTTPError, 100*rates.Latency)
-	if *batch > 0 {
-		fmt.Printf("protocol: batched, up to %d tasks per grant\n", *batch)
-	}
+	fmt.Printf("fleet: up to %d tasks per grant\n", max(*batch, 1))
 	reports, err := chaos.RunAll(cfg)
 	if err != nil {
 		return err

@@ -20,12 +20,12 @@ import (
 
 // cmdServe runs the Internet-computing task server for a family on the
 // given address, allocating in IC-optimal order.  Clients follow the
-// protocol in internal/icserver (POST /tasks, POST /report — /task,
-// /done and /failed are their k=1 forms — GET /status, GET /healthz,
-// GET /metrics).  -pprof additionally mounts net/http/pprof under
-// /debug/pprof/ for live profiling.  On SIGINT/SIGTERM the server
-// drains: grants are refused while in-flight leases get up to one lease
-// period to report, then the listener shuts down.
+// protocol in internal/icserver (POST /tasks, POST /report, GET
+// /status, GET /healthz, GET /metrics).  -pprof additionally mounts
+// net/http/pprof under /debug/pprof/ for live profiling.  On
+// SIGINT/SIGTERM the server drains: grants are refused while in-flight
+// leases get up to one lease period to report, then the listener shuts
+// down.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	withPprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -63,7 +63,6 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("serving %s (size %d, %d tasks) on %s\n", f.name, size, g.NumNodes(), addr)
 	fmt.Println("protocol: POST /tasks {\"k\": n} | POST /report {\"done\": [ids], \"failed\": [ids], \"k\": n} | GET /status | GET /healthz | GET /metrics")
-	fmt.Println("          POST /task | POST /done {\"task\": id} | POST /failed {\"task\": id} are the k=1 forms of /tasks and /report")
 
 	handler := srv.Handler()
 	if *withPprof {

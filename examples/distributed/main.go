@@ -50,19 +50,21 @@ func main() {
 	const clients = 5
 	var wg sync.WaitGroup
 	stats := make([]icserver.Stats, clients)
+	errs := make([]error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			c := &icserver.Client{BaseURL: ts.URL, Compute: compute}
-			st, err := c.Run(context.Background())
-			if err != nil {
-				log.Printf("client %d: %v", i, err)
-			}
-			stats[i] = st
+			stats[i], errs[i] = c.Run(context.Background())
 		}(i)
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			log.Fatalf("client %d: %v", i, err)
+		}
+	}
 
 	final, err := icserver.FetchStatus(context.Background(), nil, ts.URL)
 	if err != nil {
@@ -70,14 +72,24 @@ func main() {
 	}
 	fmt.Printf("completed %d/%d tasks, %d stalls, %d lease reissues\n",
 		final.Completed, final.Total, final.Stalls, final.Reissues)
+	if final.Completed != final.Total {
+		log.Fatalf("server finished %d of %d tasks", final.Completed, final.Total)
+	}
 	for i, st := range stats {
 		fmt.Printf("client %d executed %3d tasks (%d idle polls)\n", i, st.Completed, st.IdlePolls)
 	}
 
 	// The bottom mesh row now holds binomial coefficients C(levels-1, j).
 	fmt.Printf("bottom row (binomials C(%d, j)): ", levels-1)
+	want := int64(1)
 	for j := 0; j < levels; j++ {
-		fmt.Printf("%d ", vals[mesh.TriID(levels-1, j)])
+		got := vals[mesh.TriID(levels-1, j)]
+		fmt.Printf("%d ", got)
+		if got != want {
+			fmt.Println()
+			log.Fatalf("bottom row entry %d = %d, want C(%d, %d) = %d", j, got, levels-1, j, want)
+		}
+		want = want * int64(levels-1-j) / int64(j+1)
 	}
 	fmt.Println()
 }

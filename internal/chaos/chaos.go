@@ -54,11 +54,9 @@ type Config struct {
 	// Timeout bounds one workload execution (default 60s) — a chaos run
 	// must finish, not hang.
 	Timeout time.Duration
-	// Batch switches the fleet to the batched wire protocol (POST /tasks
-	// + /report) with this per-grant cap; zero keeps the legacy
-	// one-task-per-round-trip protocol.  Chaos recovery must hold under
-	// both: a crash mid-batch abandons every unreported task of the
-	// grant at once.
+	// Batch is the fleet's per-grant cap (icserver.Client's: zero means
+	// 1, the one-task client).  Chaos recovery must hold at every cap: a crash mid-batch
+	// abandons every unreported task of the grant at once.
 	Batch int
 	// Trace optionally records every workload's server-side events
 	// (allocations, completions, hand-backs, quarantines) in the shared
@@ -125,7 +123,7 @@ type Report struct {
 	Completed int
 	// Crashes counts client crashes (each followed by a respawn).
 	Crashes int
-	// HandBacks counts /failed reports, Retries transient-request
+	// HandBacks counts tasks handed back, Retries transient-request
 	// retries, Reissues server-side re-allocations.
 	HandBacks int
 	Retries   int

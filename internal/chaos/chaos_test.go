@@ -97,9 +97,8 @@ func TestServerKillRecovery(t *testing.T) {
 	}
 }
 
-// TestServerKillBatchedProtocol reruns the kill lane over the batched
-// wire protocol: a restart can now orphan whole multi-task grants at
-// once, and the /report that tries to ack them must survive the
+// TestServerKillBatchedProtocol reruns the kill lane with a grant cap
+// of 8: a restart can now orphan whole multi-task grants at once, and the /report that tries to ack them must survive the
 // stale-epoch rejection, resync the fencing token, and be absorbed by
 // the successor as applications or idempotent duplicates.
 func TestServerKillBatchedProtocol(t *testing.T) {
@@ -116,8 +115,8 @@ func TestServerKillBatchedProtocol(t *testing.T) {
 	}
 }
 
-// TestChaosBatchedProtocol reruns the wavefront recovery proof over the
-// batched wire protocol: crashes now abandon whole grants at once, and
+// TestChaosBatchedProtocol reruns the wavefront recovery proof with a
+// grant cap of 8: crashes now abandon whole grants at once, and
 // /report retries after dropped responses replay entire mixed batches —
 // recovery and bit-exactness must survive both.
 func TestChaosBatchedProtocol(t *testing.T) {

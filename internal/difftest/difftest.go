@@ -513,9 +513,9 @@ func checkServer(g *dag.Dag, order []dag.NodeID, want []int) error {
 // grant: a batch must be exactly the ELIGIBLE prefix of the allocation
 // order, whatever k is.  The second pass fixes k=1 and must realize the
 // static order exactly, proving the batched endpoint degenerates to the
-// legacy protocol.  Both passes must reproduce the FNV ground truth, and
-// the first pass's trace profile must match sched.Profile of its
-// realized order.
+// paper's one-task-per-request client.  Both passes must reproduce the
+// FNV ground truth, and the first pass's trace profile must match
+// sched.Profile of its realized order.
 func checkServerBatched(g *dag.Dag, order []dag.NodeID, ref []uint64, rng *rand.Rand) error {
 	realized, tr, err := driveBatched(g, order, ref, func() int { return 1 + rng.Intn(4) })
 	if err != nil {

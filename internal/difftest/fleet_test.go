@@ -81,7 +81,9 @@ func failOnce(v dag.NodeID) func(dag.NodeID) error {
 // they are the contract that the fold — and the engine's later collapse
 // to a single service URL — changed no wire byte and no request order.
 // The scripted replies were re-written once, when grants became id
-// arrays with one epoch; the want tables were not.
+// arrays with one epoch; the want tables were not.  The icserver-k1
+// table (the default one-task client) was captured from the engine
+// itself, once.
 func TestWireSequenceGolden(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {
@@ -117,29 +119,27 @@ func TestWireSequenceGolden(t *testing.T) {
 			stats: "{Completed:4 IdlePolls:1 Retries:1 Failed:1 Batches:4 Resyncs:1}",
 		},
 		{
-			name: "icserver-legacy",
+			name: "icserver-k1",
 			replies: []reply{
-				{200, `{"task":0,"name":"t0","epoch":1}`},
-				{200, `{"newlyEligible":1}`},
-				{204, ``},
+				{200, `{"tasks":[0],"epoch":1}`},
+				{200, `{` + ackSummary + `,"epoch":1}`},
+				{200, `{"tasks":[],"epoch":1}`},
 				{503, unavailable503},
-				{200, `{"task":1,"name":"t1","epoch":1}`},
+				{200, `{"tasks":[1],"epoch":1}`},
 				{409, `{"error":"stale epoch","epoch":2}`},
 				{200, `{"total":2,"completed":1,"epoch":2}`},
-				{200, `{"requeued":true,"quarantined":false}`},
-				{200, `{"task":1,"name":"t1","epoch":2}`},
-				{200, `{"newlyEligible":0}`},
-				{410, ``},
+				{200, `{"requeued":1,"tasks":[1],"epoch":2}`},
+				{200, `{` + ackSummary + `,"finished":true,"epoch":2}`},
 			},
 			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
 				fail := failOnce(1)
-				c := &icserver.Client{BaseURL: url, ID: "golden", Seed: 1, IdleWait: ms, RetryWait: ms,
+				c := &icserver.Client{BaseURL: url, Batch: 1, ID: "golden", Seed: 1, IdleWait: ms, RetryWait: ms,
 					Compute: func(v dag.NodeID, _ string) error { return fail(v) }}
 				st, err := c.Run(ctx)
 				return fmt.Sprintf("%+v", st), err
 			},
-			want:  goldenLegacy,
-			stats: "{Completed:2 IdlePolls:1 Retries:1 Failed:1 Batches:0 Resyncs:1}",
+			want:  goldenK1,
+			stats: "{Completed:2 IdlePolls:1 Retries:1 Failed:1 Batches:3 Resyncs:1}",
 		},
 		{
 			name: "jobs",
@@ -214,18 +214,16 @@ var goldenBatched = []string{
 	`POST /report {"done":[3],"failed":null,"k":2,"epoch":2}`,
 }
 
-var goldenLegacy = []string{
-	`POST /task`,
-	`POST /done {"task":0,"epoch":1}`,
-	`POST /task`,
-	`POST /task`,
-	`POST /task`,
-	`POST /failed {"task":1,"epoch":1}`,
+var goldenK1 = []string{
+	`POST /tasks {"k":1}`,
+	`POST /report {"done":[0],"failed":null,"k":1,"epoch":1}`,
+	`POST /tasks {"k":1}`,
+	`POST /tasks {"k":1}`,
+	`POST /tasks {"k":1}`,
+	`POST /report {"done":null,"failed":[1],"k":1,"epoch":1}`,
 	`GET /status`,
-	`POST /failed {"task":1,"epoch":2}`,
-	`POST /task`,
-	`POST /done {"task":1,"epoch":2}`,
-	`POST /task`,
+	`POST /report {"done":null,"failed":[1],"k":1,"epoch":2}`,
+	`POST /report {"done":[1],"failed":null,"k":1,"epoch":2}`,
 }
 
 var goldenJobs = []string{
@@ -250,8 +248,8 @@ var fleetFlavours = []struct {
 		_, err := (&icserver.Client{BaseURL: url, Batch: 16, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
 		return err
 	}},
-	{"icserver-legacy", func(ctx context.Context, url string, seed int64) error {
-		_, err := (&icserver.Client{BaseURL: url, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
+	{"icserver-k1", func(ctx context.Context, url string, seed int64) error {
+		_, err := (&icserver.Client{BaseURL: url, Batch: 1, ID: "golden", Seed: seed, IdleWait: time.Millisecond}).Run(ctx)
 		return err
 	}},
 	{"jobs", func(ctx context.Context, url string, seed int64) error {
@@ -267,10 +265,6 @@ var fleetFlavours = []struct {
 // plain package variable bumped under a per-worker lock).
 func TestUnseededWorkersRaceFree(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/task") {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
 		_, _ = io.WriteString(w, `{"tasks":[]}`)
 	}))
 	defer ts.Close()
@@ -300,7 +294,7 @@ func TestUnseededWorkersRaceFree(t *testing.T) {
 func TestResyncEpochContract(t *testing.T) {
 	grants := map[string][2]string{ // flavour → {grant reply, /status reply carrying epoch 7}
 		"icserver-batched": {`{"tasks":[0],"epoch":1}`, `{"epoch":7}`},
-		"icserver-legacy":  {`{"task":0,"name":"t0","epoch":1}`, `{"epoch":7}`},
+		"icserver-k1":      {`{"tasks":[0],"epoch":1}`, `{"epoch":7}`},
 		"jobs":             {`{"job":"j1","epoch":1,"tasks":[0]}`, `{"jobs":[{"job":"j0","epoch":3},{"job":"j1","epoch":7}]}`},
 	}
 	cases := []struct {
@@ -393,7 +387,7 @@ func TestComputeSeesTaskNames(t *testing.T) {
 	}
 	for _, labeled := range []bool{false, true} {
 		g := build(labeled)
-		for _, flavour := range []string{"icserver-batched", "icserver-legacy", "jobs"} {
+		for _, flavour := range []string{"icserver-batched", "icserver-k1", "jobs"} {
 			t.Run(fmt.Sprintf("%s/labeled=%v", flavour, labeled), func(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 				defer cancel()
@@ -424,7 +418,7 @@ func TestComputeSeesTaskNames(t *testing.T) {
 				} else {
 					ts := httptest.NewServer(icserver.New(g, heur.FIFO()).Handler())
 					defer ts.Close()
-					c := &icserver.Client{BaseURL: ts.URL, Seed: 1, IdleWait: time.Millisecond, Compute: compute}
+					c := &icserver.Client{BaseURL: ts.URL, Batch: 1, Seed: 1, IdleWait: time.Millisecond, Compute: compute}
 					if flavour == "icserver-batched" {
 						c.Batch = 4
 					}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -279,108 +278,11 @@ func TestReportPiggybackGrant(t *testing.T) {
 	}
 }
 
-// TestMixedLegacyAndBatchedClients runs both protocols against one
-// server at once: every task must complete exactly once and both client
-// kinds must make progress.  Progress holds by construction, not by
-// luck of the goroutine scheduler: the in-mesh starts with more sources
-// than the whole fleet can lease at once (3 legacy tasks + 3 batches of
-// at most 4), and no client of one kind finishes a task before the
-// other kind has been granted one, so neither kind can drain the dag
-// alone and neither can be left without an eligible task to be granted.
-func TestMixedLegacyAndBatchedClients(t *testing.T) {
-	const (
-		fleet  = 6 // even clients legacy, odd clients batched
-		batch  = 4
-		levels = fleet/2 + fleet/2*batch + 1
-	)
-	g := mesh.InMesh(levels)
-	srv := icserver.New(g, heur.Static("IC-OPTIMAL", sched.Complete(g, mesh.InMeshNonsinks(levels))),
-		icserver.WithLease(0))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	var mu sync.Mutex
-	seen := make([]int, g.NumNodes())
-	granted := [2]chan struct{}{make(chan struct{}), make(chan struct{})} // closed on the kind's first grant
-	var once [2]sync.Once
-	computeFor := func(kind int) func(dag.NodeID, string) error {
-		return func(v dag.NodeID, _ string) error {
-			once[kind].Do(func() { close(granted[kind]) })
-			select {
-			case <-granted[1-kind]:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			seen[v]++
-			return nil
-		}
-	}
-
-	var wg sync.WaitGroup
-	stats := make([]icserver.Stats, fleet)
-	errs := make([]error, fleet)
-	for c := 0; c < fleet; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl := &icserver.Client{
-				BaseURL: ts.URL,
-				Compute: computeFor(c % 2),
-				ID:      fmt.Sprintf("mixed-%d", c),
-				Seed:    int64(c + 1),
-			}
-			if c%2 == 1 {
-				cl.Batch = batch
-			}
-			stats[c], errs[c] = cl.Run(ctx)
-		}(c)
-	}
-	wg.Wait()
-
-	total, legacy, batched := 0, 0, 0
-	for c := 0; c < fleet; c++ {
-		if errs[c] != nil {
-			t.Fatalf("client %d: %v", c, errs[c])
-		}
-		total += stats[c].Completed
-		if c%2 == 1 {
-			batched += stats[c].Completed
-			if stats[c].Completed > 0 && stats[c].Batches == 0 {
-				t.Fatalf("batched client %d completed %d tasks in 0 batches", c, stats[c].Completed)
-			}
-		} else {
-			legacy += stats[c].Completed
-			if stats[c].Batches != 0 {
-				t.Fatalf("legacy client %d reported %d batches", c, stats[c].Batches)
-			}
-		}
-	}
-	if total != g.NumNodes() {
-		t.Fatalf("fleet completed %d, want %d", total, g.NumNodes())
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("task %d computed %d times", v, n)
-		}
-	}
-	if !srv.Finished() {
-		t.Fatal("server not finished")
-	}
-	if legacy == 0 || batched == 0 {
-		t.Fatalf("one protocol starved: legacy=%d batched=%d", legacy, batched)
-	}
-}
-
 // TestGaugesAfterBatchGrant pins the wart fix: gauges are reconciled
 // once per request, and after a /tasks batch grant the scraped values
 // must reflect the whole batch (leases = batch size, eligible shrunk by
-// the grant), with grants_per_request recording one sample of size k —
-// and one of size ≤ 1 per /task, which is /tasks at k=1.
+// the grant), with grants_per_request recording one sample of size k
+// per request, an empty grant included.
 func TestGaugesAfterBatchGrant(t *testing.T) {
 	t.Run("locked", func(t *testing.T) {
 		const leaves = 6
@@ -398,19 +300,19 @@ func TestGaugesAfterBatchGrant(t *testing.T) {
 		if _, got := grantTasks(t, ts.URL, 1); len(got) != 1 {
 			t.Fatalf("source grant %v", got)
 		}
-		// Only the source is eligible and it is leased: /task grants nothing.
-		if code, body := postJSON(t, ts.URL+"/task", ``); code != http.StatusNoContent {
-			t.Fatalf("/task on an empty frontier returned %d: %s", code, body)
+		// Only the source is eligible and it is leased: k=1 grants nothing.
+		if code, got := grantTasks(t, ts.URL, 1); code != http.StatusOK || len(got) != 0 {
+			t.Fatalf("k=1 on an empty frontier returned %d %v", code, got)
 		}
 		if code, _ := postJSON(t, ts.URL+"/report", `{"done":[0]}`); code != http.StatusOK {
 			t.Fatal("report source")
 		}
-		// All six leaves eligible; one request grants four, /task a fifth.
+		// All six leaves eligible; one request grants four, k=1 a fifth.
 		if _, got := grantTasks(t, ts.URL, 4); len(got) != 4 {
 			t.Fatalf("batch grant %v, want 4 tasks", got)
 		}
-		if code, body := postJSON(t, ts.URL+"/task", ``); code != http.StatusOK {
-			t.Fatalf("/task returned %d: %s", code, body)
+		if _, got := grantTasks(t, ts.URL, 1); len(got) != 1 {
+			t.Fatalf("k=1 grant %v, want 1 task", got)
 		}
 		m := scrapeMetrics(t, ts.URL)
 		checks := map[string]float64{
@@ -419,10 +321,9 @@ func TestGaugesAfterBatchGrant(t *testing.T) {
 			// a task does not shrink it, so all six leaves still count.
 			"icserver_eligible":                              6,
 			"icserver_completed":                             1,
-			"icserver_grants_per_request_count":              4, // k=1 grant + empty /task + k=4 grant + /task
+			"icserver_grants_per_request_count":              4, // k=1 grant + empty k=1 + k=4 grant + k=1
 			"icserver_grants_per_request_sum":                6,
-			`icserver_request_seconds_count{path="/task"}`:   2,
-			`icserver_request_seconds_count{path="/tasks"}`:  2,
+			`icserver_request_seconds_count{path="/tasks"}`:  4,
 			`icserver_request_seconds_count{path="/report"}`: 2,
 		}
 		for name, want := range checks {
@@ -465,8 +366,8 @@ func TestBatchSingleClockRead(t *testing.T) {
 // TestBatchedClientAdaptiveSizing checks the client-side ramp: against a
 // wide dag the ask doubles after full grants, so the number of /tasks
 // round-trips is far below the task count; against constant starvation
-// it resets to 1.  Each row drains its dag twice, once with ONE
-// single-task client and once with ONE batched client at cap 16, and
+// it resets to 1.  Each row drains its dag twice, once with ONE client
+// at cap 1 and once with ONE client at cap 16, and
 // counts the HTTP requests the server saw: with a fleet of one both
 // counts are functions of the dag and the schedule, not of goroutine
 // scheduling, so "batching saves round trips" is an exact assertion
@@ -520,17 +421,18 @@ func TestBatchedClientAdaptiveSizing(t *testing.T) {
 				}
 				return st, int(requests.Load())
 			}
-			_, single := drain(0)
+			_, single := drain(1)
 			st, batched := drain(16)
 			if st.Batches > tc.maxBatches {
 				t.Fatalf("ramp ineffective: %d tasks took %d batches, want <= %d", st.Completed, st.Batches, tc.maxBatches)
 			}
-			// A single-task client pays /task + /done per task.
-			if single < 2*tc.g.NumNodes() {
-				t.Fatalf("single-task client drained %d tasks in %d requests", tc.g.NumNodes(), single)
+			// A cap-1 client alone on the dag pays one /tasks, then one
+			// /report per task, each piggybacking the next one-task grant.
+			if single != tc.g.NumNodes()+1 {
+				t.Fatalf("cap-1 client drained %d tasks in %d requests, want %d", tc.g.NumNodes(), single, tc.g.NumNodes()+1)
 			}
 			if 4*batched > single {
-				t.Fatalf("batched client needed %d requests, single-task client %d: want <= 1/4", batched, single)
+				t.Fatalf("cap-16 client needed %d requests, cap-1 client %d: want <= 1/4", batched, single)
 			}
 			t.Logf("%d tasks: single %d requests, batched %d requests in %d grants", tc.g.NumNodes(), single, batched, st.Batches)
 		})

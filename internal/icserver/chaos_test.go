@@ -3,6 +3,7 @@ package icserver_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -123,7 +124,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 		t.Fatal("no client crashes occurred at an 8% crash rate")
 	}
 	if st.Failed == 0 {
-		t.Fatal("no /failed hand-backs occurred at an 8% compute-error rate")
+		t.Fatal("no hand-backs occurred at an 8% compute-error rate")
 	}
 	if st.Reissues == 0 {
 		t.Fatal("no reissues despite crashes and failures")
@@ -142,9 +143,9 @@ func TestChaosConcurrentClients(t *testing.T) {
 	t.Logf("chaos run: %d crashes, status %+v, plan: %s", crashes, st, plan.Summary())
 }
 
-// TestChaosDuplicateDoneIdempotent sends the same /done twice over the
-// wire (a client retrying a dropped response) and checks the second is a
-// no-op.
+// TestChaosDuplicateDoneIdempotent sends the same completion report
+// twice over the wire (a client retrying a dropped response) and checks
+// the second is a no-op.
 func TestChaosDuplicateDoneIdempotent(t *testing.T) {
 	g := dag.NewBuilder(2).MustBuild()
 	srv := icserver.New(g, heur.FIFO())
@@ -155,18 +156,18 @@ func TestChaosDuplicateDoneIdempotent(t *testing.T) {
 	if state != icserver.AllocOK {
 		t.Fatal("no allocation")
 	}
-	body := `{"task": ` + string(rune('0'+int(v))) + `}`
+	body := fmt.Sprintf(`{"done": [%d]}`, v)
 	for i := 0; i < 2; i++ {
-		resp, err := http.Post(ts.URL+"/done", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/report", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("duplicate /done attempt %d -> %d", i, resp.StatusCode)
+			t.Fatalf("duplicate report attempt %d -> %d", i, resp.StatusCode)
 		}
 	}
 	if st := srv.Status(); st.Completed != 1 {
-		t.Fatalf("completed = %d after duplicate /done, want 1", st.Completed)
+		t.Fatalf("completed = %d after a duplicate report, want 1", st.Completed)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -17,24 +16,26 @@ import (
 // by fault-injection harnesses.
 var ErrCrash = errors.New("icserver: client crashed")
 
-// Client is a remote IC client: it polls the server for work, runs the
-// task function, and reports completions, until the server says the
-// computation is finished.
+// Client is a remote IC client: it asks the server for work (POST
+// /tasks), runs the task function, and acks the grant (POST /report),
+// until the server says the computation is finished.  It is the Engine
+// on this package's own wire.
 //
-// The client survives the transient failures of a real network: /task and
-// /done requests that fail in transit or return 5xx are retried with
-// exponential backoff and jitter — crucially, a failed /done is retried
-// for the same task (resuming the in-flight task) rather than abandoning
-// it, and the server's idempotent completion absorbs duplicates when only
-// the response was lost.  A Compute error hands the task back to the
-// server via POST /failed and the client moves on to other work.
+// The client survives the transient failures of a real network: requests
+// that fail in transit or return 5xx are retried with exponential
+// backoff and jitter — crucially, a failed ack is retried for the same
+// grant (resuming the in-flight tasks) rather than abandoning it, and the
+// server's idempotent completion absorbs duplicates when only the
+// response was lost.  A Compute error hands the task back to the server
+// in the grant's ack and the client moves on to other work.
 type Client struct {
 	// BaseURL of the server (e.g. an httptest.Server URL).
 	BaseURL string
 	// HTTP is the transport (defaults to http.DefaultClient).
 	HTTP *http.Client
-	// Compute executes one task.  A plain error hands the task back via
-	// /failed; ErrCrash makes the client vanish without reporting.
+	// Compute executes one task.  A plain error hands the task back in
+	// the ack's "failed" list; ErrCrash makes the client vanish without
+	// reporting.
 	Compute func(task dag.NodeID, name string) error
 	// IdleWait is the initial sleep when the server has nothing eligible
 	// (default 2ms).  Consecutive idle polls back off exponentially with
@@ -51,17 +52,16 @@ type Client struct {
 	// MaxAttempts bounds tries per request, first included (default 8);
 	// when exhausted Run returns the last error.
 	MaxAttempts int
-	// Batch switches the client to the batched wire protocol (POST /tasks
-	// + POST /report) with this cap on tasks per grant.  Zero (or
-	// negative) keeps the legacy one-task-per-round-trip protocol.  The
-	// batched client keeps a local task queue: it computes every granted
-	// task, then acks the whole batch — completions and failures mixed —
-	// in one /report, so the scheduler lock and the HTTP round-trip are
-	// amortized over the batch.  The ask is sized adaptively: it starts at
-	// 1, doubles after every full grant up to Batch, holds steady on a
-	// short grant (the server clamps over-asks to the eligible prefix, so
-	// a big ask costs nothing), and resets to 1 after an empty grant so an
-	// idle client probes gently.
+	// Batch caps tasks per grant; zero or negative means 1, the paper's
+	// one-task-per-request client (§2.2).  The client computes every
+	// granted task, then acks the whole batch — completions and failures
+	// mixed — in one /report that piggybacks the next ask, so the
+	// scheduler lock and the HTTP round-trip are amortized over the batch.
+	// The ask is sized adaptively: it starts at 1, doubles after every
+	// full grant up to Batch, holds steady on a short grant (the server
+	// clamps over-asks to the eligible prefix, so a big ask costs
+	// nothing), and resets to 1 after an empty grant so an idle client
+	// probes gently.
 	Batch int
 	// ID names this client.  It is sent as the X-IC-Client header on
 	// every POST so server-side traces attribute events per client.
@@ -77,15 +77,14 @@ type Client struct {
 type Stats struct {
 	// Completed counts tasks this client computed and reported done.
 	Completed int
-	// IdlePolls counts /task polls that found nothing eligible.
+	// IdlePolls counts /tasks polls that found nothing eligible.
 	IdlePolls int
 	// Retries counts transient request failures that were retried.
 	Retries int
-	// Failed counts tasks handed back (via /failed, or in a /report
-	// batch) after a Compute error.
+	// Failed counts tasks handed back in a /report after a Compute error.
 	Failed int
-	// Batches counts /tasks grants that returned at least one task
-	// (always zero under the legacy protocol).
+	// Batches counts grants — /tasks replies or piggybacked on a /report
+	// — that carried at least one task.
 	Batches int
 	// Resyncs counts stale-epoch rejections handled: the server restarted
 	// under a bumped fencing token and the client re-read the epoch (GET
@@ -94,9 +93,7 @@ type Stats struct {
 }
 
 // Run loops until the computation finishes, the context is cancelled,
-// retries are exhausted, or Compute crashes.  With Batch > 0 it is the
-// Engine; otherwise the legacy one-task-per-round-trip loop on the
-// engine's helpers.
+// retries are exhausted, or Compute crashes.
 func (c *Client) Run(ctx context.Context) (Stats, error) {
 	e := Engine{BaseURL: c.BaseURL, Batch: c.Batch, HTTP: c.HTTP, ID: c.ID, Seed: c.Seed,
 		IdleWait: c.IdleWait, IdleWaitMax: c.IdleWaitMax, RetryWait: c.RetryWait, RetryWaitMax: c.RetryWaitMax,
@@ -104,68 +101,9 @@ func (c *Client) Run(ctx context.Context) (Stats, error) {
 	if c.Compute != nil {
 		e.Compute = func(_ string, task dag.NodeID, name string) error { return c.Compute(task, name) }
 	}
-	var err error
-	if c.Batch > 0 {
-		_, err = e.Run(ctx)
-	} else {
-		err = e.runSingle(ctx)
-	}
-	s := e.stats
+	s, err := e.Run(ctx)
 	return Stats{Completed: s.Completed, IdlePolls: s.IdlePolls, Retries: s.Retries, Failed: s.Failed,
 		Batches: s.Batches, Resyncs: s.Resyncs}, err
-}
-
-// runSingle is the legacy loop: POST /task, compute, POST /done — or
-// /failed, so the server requeues the task now instead of waiting out
-// the lease.  These are the k=1 forms of /tasks and /report; retry, idle
-// backoff, compute and the fenced re-send are the engine's.
-func (e *Engine) runSingle(ctx context.Context) error {
-	e.init()
-	idle := e.IdleWait
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		code, body, err := e.postRetry(ctx, e.BaseURL+"/task", nil)
-		if err != nil {
-			return err
-		}
-		switch code {
-		case http.StatusGone:
-			return nil
-		case http.StatusNoContent:
-			if err := e.pause(ctx, &idle); err != nil {
-				return err
-			}
-			continue
-		case http.StatusOK:
-			idle = e.IdleWait // got work: reset the idle backoff
-		default:
-			return fmt.Errorf("icserver client: /task returned %d: %s", code, body)
-		}
-		var task taskResponse
-		if err := json.Unmarshal(body, &task); err != nil {
-			return fmt.Errorf("icserver client: %w", err)
-		}
-		g := Grant{Epoch: task.Epoch, Tasks: []dag.NodeID{task.Task}, Names: []string{task.Name}}
-		done, failed, err := e.compute(g)
-		if err != nil {
-			return err
-		}
-		path := "/done"
-		if len(failed) > 0 {
-			path = "/failed"
-		}
-		encode := func() []byte {
-			b, _ := json.Marshal(doneRequest{Task: task.Task, Epoch: g.Epoch})
-			return b
-		}
-		if _, err := e.report(ctx, path, &g, encode); err != nil {
-			return err
-		}
-		e.stats.Completed += len(done)
-		e.stats.Failed += len(failed)
-	}
 }
 
 // wire is this package's own Dialect: the /report request and reply of

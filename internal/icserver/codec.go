@@ -17,7 +17,7 @@ import (
 // integers, booleans, null and integer arrays under known keys.  On
 // anything else the parser declines and the exact encoding/json call it
 // stands in for decodes the body, so the language each side accepts is
-// encoding/json's.  Every other body (the single-task endpoints, /status,
+// encoding/json's.  Every other body (/status, /healthz,
 // typed errors) stays on encoding/json.
 
 // bufPool holds the handlers' request-body and reply buffers.

@@ -39,7 +39,7 @@ type Engine struct {
 	// Compute executes one granted task; job names the grant's job on a
 	// job service.  Nil completes every task.
 	Compute func(job string, task dag.NodeID, name string) error
-	// Batch caps the adaptive ask (see nextAsk).
+	// Batch caps the adaptive ask (see nextAsk); zero or negative means 1.
 	Batch int
 	// The rest are the public clients' fields of the same names; init
 	// gives zero values their defaults.
@@ -104,6 +104,9 @@ var engineSeq atomic.Int64
 // init applies the backoff defaults and seeds the jitter rng, once.
 func (e *Engine) init() {
 	e.initOnce.Do(func() {
+		if e.Batch <= 0 {
+			e.Batch = 1
+		}
 		if e.IdleWait <= 0 {
 			e.IdleWait = 2 * time.Millisecond
 		}
@@ -246,7 +249,7 @@ func (e *Engine) drain(ctx context.Context, ask *int) (moved, finished bool, err
 			return true, false, err
 		}
 		*ask = nextAsk(*ask, len(g.Tasks), e.Batch)
-		body, err := e.report(ctx, "/report", &g, func() []byte { return e.Dialect.Report(g, done, failed, *ask) })
+		body, err := e.report(ctx, &g, func() []byte { return e.Dialect.Report(g, done, failed, *ask) })
 		if err != nil {
 			return true, false, err
 		}
@@ -294,8 +297,8 @@ func (e *Engine) compute(g Grant) (done, failed []dag.NodeID, err error) {
 // server applies it (the tasks came back requeued) or absorbs it as
 // idempotent duplicates (journaled before the crash).  It returns the
 // 200 reply.
-func (e *Engine) report(ctx context.Context, path string, g *Grant, encode func() []byte) ([]byte, error) {
-	url := e.BaseURL + path
+func (e *Engine) report(ctx context.Context, g *Grant, encode func() []byte) ([]byte, error) {
+	url := e.BaseURL + "/report"
 	for try := 1; ; try++ {
 		code, body, err := e.postRetry(ctx, url, encode())
 		if err != nil {

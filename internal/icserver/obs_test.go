@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -23,7 +22,7 @@ import (
 )
 
 // TestLeaseExpiryQuarantinesAtMaxAttempts covers the recovery path where
-// the *lease-expiry* scan (not a /failed report) exhausts MaxAttempts:
+// the *lease-expiry* scan (not a hand-back) exhausts MaxAttempts:
 // the expired task must be quarantined, and — being the last task in
 // flight with its child blocked behind it — the very same Allocate call
 // must land on the degraded-terminal AllocFinished state instead of
@@ -169,12 +168,9 @@ func TestMetricsAgreeWithStatus(t *testing.T) {
 			t.Errorf("%s = %g, Status says %d", c.series, got, c.want)
 		}
 	}
-	if m[`icserver_http_requests_total{path="/task"}`] == 0 ||
-		m[`icserver_http_requests_total{path="/done"}`] == 0 {
+	if m[`icserver_http_requests_total{path="/tasks"}`] == 0 ||
+		m[`icserver_http_requests_total{path="/report"}`] == 0 {
 		t.Fatalf("per-path request counters missing or zero: %v", m)
-	}
-	if st.Failed > 0 && m[`icserver_http_requests_total{path="/failed"}`] == 0 {
-		t.Fatal("/failed requests happened but counter is zero")
 	}
 }
 
@@ -262,13 +258,6 @@ func TestServerTraceAttributesClients(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// One extra poll after completion records the run-end.
-	resp, err := http.Post(ts.URL+"/task", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 
 	counts := map[obs.Phase]int{}
 	for _, ev := range tr.Events() {

@@ -313,13 +313,15 @@ func TestKilledServerRefusesRequests(t *testing.T) {
 	defer ts.Close()
 	srv.Kill()
 	srv.Kill() // idempotent
-	resp, err := http.Post(ts.URL+"/task", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("killed server answered /task with %d", resp.StatusCode)
+	for path, body := range map[string]string{"/tasks": `{"k":1}`, "/report": `{"done":[]}`} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("killed server answered %s with %d", path, resp.StatusCode)
+		}
 	}
 }
 

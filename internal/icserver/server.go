@@ -12,22 +12,19 @@
 //   - an allocation lease: a task not reported complete within the lease
 //     is re-offered to other clients (expiry tracked in a min-heap, so
 //     allocation stays O(log n) under many outstanding leases);
-//   - early hand-back: a client whose computation fails POSTs /failed and
-//     the task is requeued ahead of the policy;
+//   - early hand-back: a client whose computation fails lists the task
+//     under "failed" in its /report and the task is requeued ahead of the
+//     policy;
 //   - quarantine: a task that has been handed out MaxAttempts times
 //     without completing is quarantined rather than reissued forever, and
 //     the computation degrades gracefully to "finished with a quarantined
 //     set" instead of hanging;
-//   - idempotent completion: late or duplicate /done reports (including
-//     from clients whose lease expired, or for quarantined tasks, which
-//     are then rescued) cause no harm.
+//   - idempotent completion: late or duplicate completion reports
+//     (including from clients whose lease expired, or for quarantined
+//     tasks, which are then rescued) cause no harm.
 //
 // Wire protocol (JSON):
 //
-//	POST /task            -> 200 {"task": id, "name": label, "epoch": e}
-//	                         |  204 (none eligible)  |  410 (finished)  |  503 (draining)
-//	POST /done   {"task"} -> 200 {"newlyEligible": k}
-//	POST /failed {"task"} -> 200 {"requeued": b, "quarantined": b}
 //	POST /tasks  {"k": n} -> 200 {"epoch": e, "tasks": [ids], "names": [labels]?}
 //	                         (empty array when nothing is eligible right now)
 //	                         |  400 (k < 1)  |  410 (finished)  |  503 (draining)
@@ -43,36 +40,35 @@
 //	GET  /healthz         -> 200/503 {"status", "uptimeSeconds", "completed", "total"}
 //	GET  /metrics         -> 200 Prometheus text format (see Metrics)
 //
-// A batched grant is an id array with one fencing epoch; "names" rides
+// A grant is an id array with one fencing epoch; "names" rides
 // along, parallel to "tasks", only when the dag is labeled — a client
 // names an unlabeled task dag.DefaultName(id).  A /report reply omits
 // zero counts.  These hot bodies are hand-encoded and fast-path decoded
 // (codec.go), with encoding/json as the fallback for anything else.
 //
-// /tasks and /report are the batched protocol: one request amortizes the
-// scheduler lock and the HTTP round-trip over up to k tasks.  A /tasks
-// grant is the length-≤k prefix of the server's allocation order — expired
-// leases first, then /failed hand-backs, then the policy's picks — taken
-// under ONE lock acquisition with one clock read and one gauge sync, so an
-// IC-optimal policy hands out exactly the ELIGIBLE-maximizing prefix the
-// quality model prescribes.  A /report acks a mixed batch of completions
-// and hand-backs atomically: the batch is validated in full (any
-// out-of-range, never-allocated, or twice-listed task rejects it) before
-// anything is applied, so a retried report is always safe.  A /report
+// One request amortizes the scheduler lock and the HTTP round-trip over
+// up to k tasks; k = 1 is the paper's one-task-per-request client (§2.2).
+// A /tasks grant is the length-≤k prefix of the server's allocation
+// order — expired leases first, then hand-backs, then the policy's
+// picks — taken under ONE lock acquisition with one clock read and one
+// gauge sync, so an IC-optimal policy hands out exactly the
+// ELIGIBLE-maximizing prefix the quality model prescribes.  A /report
+// acks a mixed batch of completions and hand-backs atomically: the batch
+// is validated in full (any out-of-range, never-allocated, or
+// twice-listed task rejects it) before anything is applied, so a retried
+// report is always safe.  A /report
 // carrying a positive "k" additionally piggybacks the next grant onto the
 // ack — report and grant happen under the same single lock acquisition,
-// so the steady-state batched client pays one round trip per batch
+// so the steady-state client pays one round trip per batch
 // ("finished": true is the piggybacked analog of the /tasks 410; while
-// draining the ack is accepted but the grant is suppressed).  The legacy
-// single-task endpoints remain wire-compatible; both client generations
-// can share one server.
+// draining the ack is accepted but the grant is suppressed).
 //
 // Every 503 carries one typed JSON body {"error": "unavailable",
 // "reason": "draining" | "killed" | "journal-failed", "detail": ...}:
 // the drain check and the killed/wounded check happen under one lock
 // acquisition, so a request cannot observe "not draining" and then be
 // granted by a drained (or dead) incarnation.  Draining refuses only
-// new grants (/task, /tasks, and the piggybacked grant of /report);
+// new grants (/tasks, and the piggybacked grant of /report);
 // completions stay welcome so in-flight leases can land.
 //
 // POST requests may carry an X-IC-Client header naming the client; the
@@ -88,7 +84,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"net/http"
 	"sync"
@@ -105,7 +100,7 @@ import (
 // trace attribution.
 const clientHeader = "X-IC-Client"
 
-// maxBodyBytes bounds /done and /failed request bodies.
+// maxBodyBytes bounds /tasks and /report request bodies.
 const maxBodyBytes = 64 << 10
 
 // Server allocates the tasks of one dag execution.  Create with New and
@@ -126,13 +121,13 @@ type Server struct {
 	leased      nodeSet      // tasks out on a lease
 	leaseAt     []int64      // lease grant instant (ns since start); valid while leased
 	expiry      leaseHeap    // grant-time-ordered, lazily invalidated
-	returned    []dag.NodeID // tasks handed back via /failed, FIFO
+	returned    []dag.NodeID // tasks handed back in a report, FIFO
 	quarantined nodeSet
 	seen        nodeSet      // reportLocked's twice-listed check; empty between reports
 	packet      []dag.NodeID // completeLocked's newly-ELIGIBLE scratch
 	stalls      int
 	reissues    int
-	failed      int // /failed reports accepted
+	failed      int // hand-backs accepted
 	draining    bool
 	degraded    bool // terminal with a non-empty quarantined set
 
@@ -171,31 +166,29 @@ type Server struct {
 // monotone Status fields and the gauges mirror the instantaneous ones,
 // so a /metrics scrape and a /status read taken at quiescence agree.
 type serverMetrics struct {
-	reqTask, reqDone, reqFailed *obs.Counter
-	reqTasks, reqReport         *obs.Counter // batched-protocol requests
-	allocations                 *obs.Counter // lease grants, initial + reissues
-	completions                 *obs.Counter // first-time completions
-	duplicateDone               *obs.Counter // idempotent duplicate /done no-ops
-	stalls                      *obs.Counter
-	reissues                    *obs.Counter
-	failed                      *obs.Counter // /failed hand-backs accepted
-	leaseExpiries               *obs.Counter // leases reclaimed after expiry
-	quarantines                 *obs.Counter // tasks ever quarantined
-	rescues                     *obs.Counter // quarantined tasks rescued by a late /done
-	staleReports                *obs.Counter // reports rejected on a stale epoch
-	eligible                    *obs.Gauge   // live |ELIGIBLE| (§2.2)
-	leases                      *obs.Gauge   // outstanding allocations
-	quarantined                 *obs.Gauge   // current quarantined set size
-	completed                   *obs.Gauge   // tasks executed
-	epoch                       *obs.Gauge   // fencing token of this incarnation
-	recoverySeconds             *obs.Gauge   // wall time of the last Recover
-	walBytes                    *obs.Counter // journal bytes appended
-	walFsync                    *obs.Histogram
+	reqTasks, reqReport *obs.Counter // requests by path
+	allocations         *obs.Counter // lease grants, initial + reissues
+	completions         *obs.Counter // first-time completions
+	duplicateDone       *obs.Counter // idempotent duplicate completion no-ops
+	stalls              *obs.Counter
+	reissues            *obs.Counter
+	failed              *obs.Counter // hand-backs accepted
+	leaseExpiries       *obs.Counter // leases reclaimed after expiry
+	quarantines         *obs.Counter // tasks ever quarantined
+	rescues             *obs.Counter // quarantined tasks rescued by a late completion
+	staleReports        *obs.Counter // reports rejected on a stale epoch
+	eligible            *obs.Gauge   // live |ELIGIBLE| (§2.2)
+	leases              *obs.Gauge   // outstanding allocations
+	quarantined         *obs.Gauge   // current quarantined set size
+	completed           *obs.Gauge   // tasks executed
+	epoch               *obs.Gauge   // fencing token of this incarnation
+	recoverySeconds     *obs.Gauge   // wall time of the last Recover
+	walBytes            *obs.Counter // journal bytes appended
+	walFsync            *obs.Histogram
 
-	latTask, latDone, latFailed *obs.Histogram // per-endpoint handler latency
-	latTasks, latReport         *obs.Histogram
-	grantsPerRequest            *obs.Histogram // tasks granted per /tasks request
-	lockHold                    *obs.Histogram // scheduler-lock hold time per allocation request
+	latTasks, latReport *obs.Histogram // per-endpoint handler latency
+	grantsPerRequest    *obs.Histogram // tasks granted per /tasks request
+	lockHold            *obs.Histogram // scheduler-lock hold time per allocation request
 }
 
 // latencyBuckets spans scheduler-lock holds (microseconds on the locked
@@ -218,26 +211,20 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			"HTTP handler latency by path", latencyBuckets)
 	}
 	return serverMetrics{
-		reqTask:   req("/task"),
-		reqDone:   req("/done"),
-		reqFailed: req("/failed"),
 		reqTasks:  req("/tasks"),
 		reqReport: req("/report"),
-		latTask:   lat("/task"),
-		latDone:   lat("/done"),
-		latFailed: lat("/failed"),
 		latTasks:  lat("/tasks"),
 		latReport: lat("/report"),
 		grantsPerRequest: reg.Histogram("icserver_grants_per_request",
-			"tasks granted per /task or /tasks request", grantBuckets),
+			"tasks granted per allocation request", grantBuckets),
 		lockHold: reg.Histogram("icserver_lock_hold_seconds",
 			"scheduler-lock hold time per allocation request", latencyBuckets),
 		allocations:   reg.Counter("icserver_allocations_total", "lease grants (initial allocations + reissues)"),
 		completions:   reg.Counter("icserver_completions_total", "first-time task completions"),
-		duplicateDone: reg.Counter("icserver_duplicate_done_total", "idempotent duplicate /done reports"),
+		duplicateDone: reg.Counter("icserver_duplicate_done_total", "idempotent duplicate completion reports"),
 		stalls:        reg.Counter("icserver_stalls_total", "allocation requests that found nothing ELIGIBLE"),
-		reissues:      reg.Counter("icserver_reissues_total", "re-allocations after lease expiry or /failed"),
-		failed:        reg.Counter("icserver_failed_total", "/failed hand-backs accepted"),
+		reissues:      reg.Counter("icserver_reissues_total", "re-allocations after lease expiry or hand-back"),
+		failed:        reg.Counter("icserver_failed_total", "hand-backs accepted"),
 		leaseExpiries: reg.Counter("icserver_lease_expiries_total", "leases reclaimed after expiry"),
 		quarantines:   reg.Counter("icserver_quarantines_total", "tasks quarantined (MaxAttempts exhausted)"),
 		rescues:       reg.Counter("icserver_quarantine_rescues_total", "quarantined tasks rescued by a late completion"),
@@ -278,7 +265,7 @@ func WithLease(d time.Duration) Option {
 }
 
 // WithMaxAttempts sets how many times a task may be handed out (initial
-// allocation + reissues after expiry or /failed) before it is quarantined
+// allocation + reissues after expiry or hand-back) before it is quarantined
 // (default 5; 0 disables quarantine).
 func WithMaxAttempts(n int) Option {
 	return func(s *Server) { s.maxAttempts = n }
@@ -346,9 +333,6 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // Handler returns the HTTP handler exposing the protocol.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /task", timed(s.m.latTask, s.handleTask))
-	mux.HandleFunc("POST /done", timed(s.m.latDone, s.handleDone))
-	mux.HandleFunc("POST /failed", timed(s.m.latFailed, s.handleFailed))
 	mux.HandleFunc("POST /tasks", timed(s.m.latTasks, s.handleTasks))
 	mux.HandleFunc("POST /report", timed(s.m.latReport, s.handleReport))
 	mux.HandleFunc("GET /status", s.handleStatus)
@@ -364,34 +348,6 @@ func timed(lat *obs.Histogram, h http.HandlerFunc) http.HandlerFunc {
 		h(w, r)
 		lat.Observe(time.Since(start).Seconds())
 	}
-}
-
-// taskResponse is the /task payload; Epoch is the fencing token the
-// report for this grant must carry.
-type taskResponse struct {
-	Task  dag.NodeID `json:"task"`
-	Name  string     `json:"name"`
-	Epoch uint64     `json:"epoch,omitempty"`
-}
-
-// doneRequest is the /done and /failed payload.  A zero Epoch is a
-// legacy (pre-fencing) client and is accepted unchecked; a nonzero
-// epoch must match the serving incarnation or the report is rejected
-// with 409 stale-epoch.
-type doneRequest struct {
-	Task  dag.NodeID `json:"task"`
-	Epoch uint64     `json:"epoch,omitempty"`
-}
-
-// doneResponse reports the packet size.
-type doneResponse struct {
-	NewlyEligible int `json:"newlyEligible"`
-}
-
-// failedResponse reports what became of a handed-back task.
-type failedResponse struct {
-	Requeued    bool `json:"requeued"`
-	Quarantined bool `json:"quarantined"`
 }
 
 // tasksRequest is the batched /tasks payload: grant up to K tasks.
@@ -413,7 +369,7 @@ type reportRequest struct {
 
 // reportResponse is the /report reply: the batch summary plus, when the
 // request piggybacked an ask (K > 0), the next grant.  Finished reports
-// the terminal state (the batched analog of the legacy 410) — it can only
+// the terminal state (the piggybacked analog of the /tasks 410) — it can only
 // turn true on a piggybacked report, never on a plain ack.
 type reportResponse struct {
 	BatchReport
@@ -490,7 +446,7 @@ func writeUnavailable(w http.ResponseWriter, reason, detail string) {
 // refuse checks every unavailability condition under ONE lock
 // acquisition — the same discipline the epoch fence gets from its
 // immutable read — and writes the typed 503 when the request must be
-// refused.  checkDrain marks allocation paths (/task, /tasks): a
+// refused.  checkDrain marks allocation paths (/tasks): a
 // draining server refuses new grants but still takes completions.
 // The returned draining flag lets /report suppress its piggybacked
 // grant while accepting the ack.
@@ -561,8 +517,10 @@ type staleEpochResponse struct {
 
 // fenceStale rejects a nonzero request epoch that does not match the
 // serving incarnation.  The epoch is fixed per incarnation, so the
-// unlocked read is safe; a zero epoch is a legacy client, accepted
-// unchecked for wire compatibility.
+// unlocked read is safe.  A report without an epoch (zero) is applied
+// unfenced: every client in this tree stamps the grant's epoch on its
+// ack, but raw epoch-less /report bodies still rely on this contract, as
+// jobs.Server.Report's own epoch check does.
 func (s *Server) fenceStale(w http.ResponseWriter, reqEpoch uint64) bool {
 	if reqEpoch == 0 || reqEpoch == s.epoch {
 		return false
@@ -575,84 +533,6 @@ func (s *Server) fenceStale(w http.ResponseWriter, reqEpoch uint64) bool {
 	w.WriteHeader(http.StatusConflict)
 	_ = json.NewEncoder(w).Encode(staleEpochResponse{Error: staleEpochError, Epoch: s.epoch})
 	return true
-}
-
-// handleTask serves POST /task, the k=1 form of /tasks.
-func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
-	s.m.reqTask.Inc()
-	if refused, _ := s.refuse(w, true); refused {
-		return
-	}
-	batch, state, err := s.allocateBatch(1, r.Header.Get(clientHeader))
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	switch state {
-	case AllocOK:
-		writeJSON(w, taskResponse{Task: batch[0], Name: s.g.Name(batch[0]), Epoch: s.epoch})
-	case AllocEmpty:
-		w.WriteHeader(http.StatusNoContent)
-	case AllocFinished:
-		w.WriteHeader(http.StatusGone)
-	}
-}
-
-// decodeTask reads a bounded {"task": id} body, distinguishing empty and
-// oversized bodies from malformed JSON only in the error text.
-func decodeTask(w http.ResponseWriter, r *http.Request) (doneRequest, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req doneRequest
-	err := json.NewDecoder(r.Body).Decode(&req)
-	switch {
-	case err == nil:
-		return req, true
-	case errors.Is(err, io.EOF):
-		http.Error(w, "icserver: empty request body", http.StatusBadRequest)
-	default:
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("icserver: request body exceeds %d bytes", tooLarge.Limit),
-				http.StatusBadRequest)
-		} else {
-			http.Error(w, "icserver: malformed request body: "+err.Error(), http.StatusBadRequest)
-		}
-	}
-	return doneRequest{}, false
-}
-
-func (s *Server) handleDone(w http.ResponseWriter, r *http.Request) {
-	s.m.reqDone.Inc()
-	if rep, ok := s.handleOne(w, r, false); ok {
-		writeJSON(w, doneResponse{NewlyEligible: rep.NewlyEligible})
-	}
-}
-
-func (s *Server) handleFailed(w http.ResponseWriter, r *http.Request) {
-	s.m.reqFailed.Inc()
-	if rep, ok := s.handleOne(w, r, true); ok {
-		writeJSON(w, failedResponse{Requeued: rep.Requeued > 0, Quarantined: rep.Quarantined > 0})
-	}
-}
-
-// handleOne serves /done and /failed, the k=1 forms of /report: one
-// task acked through the batched core, the error response written here.
-func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, failed bool) (BatchReport, bool) {
-	req, ok := decodeTask(w, r)
-	if !ok {
-		return BatchReport{}, false
-	}
-	if refused, _ := s.refuse(w, false); refused {
-		return BatchReport{}, false
-	}
-	if s.fenceStale(w, req.Epoch) {
-		return BatchReport{}, false
-	}
-	rep, err := s.reportOne(req.Task, failed, r.Header.Get(clientHeader))
-	if err != nil {
-		writeCoreError(w, err)
-	}
-	return rep, err == nil
 }
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
@@ -681,8 +561,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getBuf()
 	defer putBuf(buf)
-	// The reply is a Grant; its Tasks is empty when nothing is eligible
-	// (the batched analog of the legacy 204).
+	// The reply is a Grant; its Tasks is empty when nothing is eligible.
 	*buf = appendGrant(*buf, &Grant{Epoch: s.epoch, Tasks: batch, Names: GrantNames(s.g, batch)})
 	writeBody(w, *buf)
 }
@@ -824,7 +703,7 @@ func (s *Server) Allocate() (dag.NodeID, AllocState) {
 }
 
 // AllocateBatch grants up to k tasks in allocation order — expired-lease
-// reissues first, then /failed hand-backs, then policy picks — under one
+// reissues first, then hand-backs, then policy picks — under one
 // lock acquisition, with one clock read and one gauge sync for the whole
 // batch.  It returns AllocOK with 1..k tasks, AllocEmpty with none (the
 // computation is live but nothing is currently allocatable), or
@@ -914,7 +793,7 @@ func (s *Server) allocateOneLocked(now int64, actor string) (dag.NodeID, AllocSt
 		s.grantLocked(v, now, actor)
 		return v, AllocOK
 	}
-	// Tasks handed back via /failed go out before new policy picks.
+	// Tasks handed back in a report go out before new policy picks.
 	for len(s.returned) > 0 {
 		v := s.returned[0]
 		s.returned = s.returned[1:]
@@ -1268,7 +1147,7 @@ func (s *Server) recordRunEndLocked() {
 	s.trace.Record(ev)
 }
 
-// Shutdown drains the server gracefully: new /task requests get 503
+// Shutdown drains the server gracefully: new grants get 503
 // while in-flight leases may still complete (or fail).  Once no lease is
 // outstanding (or ctx expires first), the journal — if any — gets a
 // drain record, a final flush, and is closed, so a clean shutdown is

@@ -3,6 +3,8 @@ package icserver_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -152,31 +154,6 @@ func TestLeaseReissue(t *testing.T) {
 	}
 }
 
-func TestDoneEndpointErrors(t *testing.T) {
-	g := dag.NewBuilder(2).MustBuild()
-	srv := icserver.New(g, heur.FIFO())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	// Bad JSON.
-	resp, err := http.Post(ts.URL+"/done", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON -> %d", resp.StatusCode)
-	}
-	// Completion of a never-allocated task.
-	resp, err = http.Post(ts.URL+"/done", "application/json", strings.NewReader(`{"task": 0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("unallocated done -> %d", resp.StatusCode)
-	}
-}
-
 func TestCompleteValidation(t *testing.T) {
 	g := dag.NewBuilder(2).MustBuild()
 	srv := icserver.New(g, heur.FIFO())
@@ -278,7 +255,7 @@ func TestFailedRequeuesAheadOfPolicy(t *testing.T) {
 	// The handed-back task goes out again before the policy's next pick.
 	v2, _ := srv.Allocate()
 	if v2 != v1 {
-		t.Fatalf("after /failed, allocation = %d, want requeued %d", v2, v1)
+		t.Fatalf("after a hand-back, allocation = %d, want requeued %d", v2, v1)
 	}
 	st := srv.Status()
 	if st.Failed != 1 || st.Reissues != 1 {
@@ -368,38 +345,34 @@ func TestLeaseHeapReissuesInExpiryOrder(t *testing.T) {
 	}
 }
 
-func TestDoneBodyLimits(t *testing.T) {
+// TestRequestBodyLimits pins the request-body bound on both POST
+// endpoints: an empty body, and a body past the 64 KiB MaxBytesReader
+// bound whether it is one padded object or one huge array, all answer
+// 400.
+func TestRequestBodyLimits(t *testing.T) {
 	g := dag.NewBuilder(2).MustBuild()
 	srv := icserver.New(g, heur.FIFO())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	// Empty body.
-	resp, err := http.Post(ts.URL+"/done", "application/json", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
+	// > 64 KiB of valid JSON; distinct ids, so only the bound can 400 it.
+	var ids strings.Builder
+	ids.WriteString("0")
+	for i := 1; ids.Len() <= 64<<10; i++ {
+		fmt.Fprintf(&ids, ",%d", i)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty body -> %d, want 400", resp.StatusCode)
+	bodies := []struct{ name, body string }{
+		{"empty", ""},
+		{"padded object", `{"k": 1, "done": [], "pad": "` + strings.Repeat("x", 70<<10) + `"}`},
+		{"huge array", `{"done": [` + ids.String() + `], "k": 1}`},
 	}
-	// Oversized body (> 64 KiB).
-	huge := `{"task": 0, "pad": "` + strings.Repeat("x", 70<<10) + `"}`
-	resp, err = http.Post(ts.URL+"/done", "application/json", strings.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized body -> %d, want 400", resp.StatusCode)
-	}
-	// /failed shares the same body handling.
-	resp, err = http.Post(ts.URL+"/failed", "application/json", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty /failed body -> %d, want 400", resp.StatusCode)
+	for _, path := range []string{"/tasks", "/report"} {
+		for _, b := range bodies {
+			t.Run(path[1:]+"/"+b.name, func(t *testing.T) {
+				if code, _ := postJSON(t, ts.URL+path, b.body); code != http.StatusBadRequest {
+					t.Fatalf("%s body -> %d, want 400", b.name, code)
+				}
+			})
+		}
 	}
 }
 
@@ -416,7 +389,7 @@ func TestHealthzAndDrain(t *testing.T) {
 	}
 
 	// Take a task, then drain: Shutdown must block until the in-flight
-	// lease completes, and /task must refuse new work meanwhile.
+	// lease completes, and /tasks must refuse new work meanwhile.
 	v, _ := srv.Allocate()
 	done := make(chan error, 1)
 	go func() { done <- srv.Shutdown(context.Background()) }()
@@ -430,13 +403,13 @@ func TestHealthzAndDrain(t *testing.T) {
 		t.Fatal("server never reported draining")
 	}
 	waitDraining()
-	resp, err := http.Post(ts.URL+"/task", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/tasks", "application/json", strings.NewReader(`{"k":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining /task -> %d, want 503", resp.StatusCode)
+		t.Fatalf("draining /tasks -> %d, want 503", resp.StatusCode)
 	}
 	// /status keeps answering while draining, so operators and resyncing
 	// clients can still see progress and the epoch.
@@ -467,15 +440,15 @@ func TestHealthzAndDrain(t *testing.T) {
 }
 
 func TestClientIdleBackoffGrows(t *testing.T) {
-	// A server that always answers 204 then 410: the client's idle polls
-	// must back off instead of hammering at a fixed cadence.
+	// A server that answers four empty grants, then 410: the client's
+	// idle polls must back off instead of hammering at a fixed cadence.
 	var polls atomic.Int64
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/task" {
+		if r.URL.Path != "/tasks" {
 			t.Errorf("unexpected path %s", r.URL.Path)
 		}
 		if polls.Add(1) <= 4 {
-			w.WriteHeader(http.StatusNoContent)
+			_, _ = io.WriteString(w, `{"epoch":1,"tasks":[]}`)
 			return
 		}
 		w.WriteHeader(http.StatusGone)
@@ -500,7 +473,7 @@ func TestClientIdleBackoffGrows(t *testing.T) {
 }
 
 func TestClientRetriesTransientFailures(t *testing.T) {
-	// The /task endpoint fails twice (once 500, once mid-flight) before
+	// The first request fails twice (once 500, once mid-flight) before
 	// succeeding; the client must retry and still run the whole dag.
 	g := dag.NewBuilder(2).MustBuild()
 	srv := icserver.New(g, heur.FIFO())
@@ -531,7 +504,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 }
 
 func TestClientComputeErrorHandsTaskBack(t *testing.T) {
-	// First execution of task 0 fails; the client reports /failed and the
+	// First execution of task 0 fails; the client hands it back and the
 	// (re-computable) task succeeds on reissue.
 	b := dag.NewBuilder(2)
 	b.AddArc(0, 1)

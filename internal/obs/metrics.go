@@ -44,7 +44,7 @@ func (k metricKind) String() string {
 
 // Registry holds named metrics and renders them in Prometheus text
 // format.  Metric names may carry a label suffix in standard notation
-// (`requests_total{path="/task"}`); series of the same family (the name
+// (`requests_total{path="/tasks"}`); series of the same family (the name
 // before '{') share one HELP/TYPE header.  Safe for concurrent use.
 type Registry struct {
 	mu      sync.Mutex

@@ -11,8 +11,8 @@ import (
 func TestCounterGaugeRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs_total", "total requests").Add(3)
-	r.Counter(`reqs_by_path_total{path="/task"}`, "requests by path").Inc()
-	r.Counter(`reqs_by_path_total{path="/done"}`, "").Add(2)
+	r.Counter(`reqs_by_path_total{path="/tasks"}`, "requests by path").Inc()
+	r.Counter(`reqs_by_path_total{path="/report"}`, "").Add(2)
 	r.Gauge("eligible", "live |ELIGIBLE|").Set(7)
 	r.Gauge("eligible", "").Add(-2)
 
@@ -26,8 +26,8 @@ func TestCounterGaugeRendering(t *testing.T) {
 		"# TYPE reqs_total counter",
 		"reqs_total 3",
 		"# TYPE reqs_by_path_total counter",
-		`reqs_by_path_total{path="/done"} 2`,
-		`reqs_by_path_total{path="/task"} 1`,
+		`reqs_by_path_total{path="/report"} 2`,
+		`reqs_by_path_total{path="/tasks"} 1`,
 		"# TYPE eligible gauge",
 		"eligible 5",
 	} {
