@@ -62,7 +62,7 @@ func cmdServe(args []string) error {
 		srv = icserver.New(g, heur.Static("IC-OPTIMAL", order), icserver.WithLease(lease))
 	}
 	fmt.Printf("serving %s (size %d, %d tasks) on %s\n", f.name, size, g.NumNodes(), addr)
-	fmt.Println("protocol: POST /tasks {\"k\": n} | POST /report {\"done\": [ids], \"failed\": [ids], \"k\": n} | GET /status | GET /healthz | GET /metrics")
+	fmt.Println("protocol: POST /tasks {\"k\": n} | POST /report {\"done\": [ids], \"failed\": [ids], \"k\": n, \"epoch\": e} | GET /status | GET /healthz | GET /metrics")
 
 	handler := srv.Handler()
 	if *withPprof {

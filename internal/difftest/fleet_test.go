@@ -83,7 +83,11 @@ func failOnce(v dag.NodeID) func(dag.NodeID) error {
 // The scripted replies were re-written once, when grants became id
 // arrays with one epoch; the want tables were not.  The icserver-k1
 // table (the default one-task client) was captured from the engine
-// itself, once.
+// itself, once.  The jobs case was re-captured once, with its scripted
+// replies, when the job service moved onto icserver's wire: its acks now
+// read {"job",…} followed by icserver's own ack fields, and its replies
+// are flat instead of nesting the next grant under "grant"; the request
+// order did not change.
 func TestWireSequenceGolden(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {
@@ -145,14 +149,14 @@ func TestWireSequenceGolden(t *testing.T) {
 			name: "jobs",
 			replies: []reply{
 				{200, `{"job":"j1","epoch":1,"tasks":[0]}`},
-				{200, `{` + ackSummary + `,"grant":{"job":"j2","epoch":3,"tasks":[1,2]}}`},
+				{200, `{` + ackSummary + `,"job":"j2","tasks":[1,2],"epoch":3}`},
 				{503, unavailable503},
 				{409, `{"error":"stale epoch","epoch":4}`},
 				{200, `{"activeJobs":1,"jobs":[{"job":"j1","epoch":1},{"job":"j2","epoch":5}]}`},
-				{200, `{` + ackSummary + `,"jobFinished":true,"grant":{"tasks":[]}}`},
+				{200, `{` + ackSummary + `,"jobFinished":true}`},
 				{200, `{"tasks":[]}`},
 				{200, `{"job":"j2","epoch":5,"tasks":[2]}`},
-				{200, `{` + ackSummary + `,"grant":{"job":"j3","epoch":1,"tasks":[7]}}`},
+				{200, `{` + ackSummary + `,"job":"j3","tasks":[7],"epoch":1}`},
 			},
 			run: func(ctx context.Context, stop context.CancelFunc, url string) (string, error) {
 				fail := failOnce(2)
@@ -228,14 +232,14 @@ var goldenK1 = []string{
 
 var goldenJobs = []string{
 	`POST /tasks {"k":1}`,
-	`POST /report {"job":"j1","epoch":1,"done":[0],"k":2}`,
-	`POST /report {"job":"j2","epoch":3,"done":[1],"failed":[2],"k":4}`,
-	`POST /report {"job":"j2","epoch":3,"done":[1],"failed":[2],"k":4}`,
+	`POST /report {"job":"j1","done":[0],"failed":null,"k":2,"epoch":1}`,
+	`POST /report {"job":"j2","done":[1],"failed":[2],"k":4,"epoch":3}`,
+	`POST /report {"job":"j2","done":[1],"failed":[2],"k":4,"epoch":3}`,
 	`GET /status`,
-	`POST /report {"job":"j2","epoch":5,"done":[1],"failed":[2],"k":4}`,
+	`POST /report {"job":"j2","done":[1],"failed":[2],"k":4,"epoch":5}`,
 	`POST /tasks {"k":4}`,
 	`POST /tasks {"k":1}`,
-	`POST /report {"job":"j2","epoch":5,"done":[2],"k":2}`,
+	`POST /report {"job":"j2","done":[2],"failed":null,"k":2,"epoch":5}`,
 }
 
 // fleetFlavours builds one worker of each client flavour against url,

@@ -72,14 +72,14 @@ func TestTasksBatchClampsToEligible(t *testing.T) {
 		report    string // body for a follow-up /report, "" for none
 	}{
 		// Only the source is eligible: k=3 must clamp to 1.
-		{k: 3, wantGrant: []dag.NodeID{0}, report: `{"done":[0],"failed":[]}`},
+		{k: 3, wantGrant: []dag.NodeID{0}, report: `{"done":[0],"failed":[],"epoch":1}`},
 		// All five leaves eligible now; a partial ask takes the prefix.
 		{k: 2, wantGrant: []dag.NodeID{1, 2}},
 		// Oversized ask grants exactly the remaining three.
 		{k: 100, wantGrant: []dag.NodeID{3, 4, 5}},
 		// Everything leased out: empty grant, not an error.
 		{k: 4, wantGrant: []dag.NodeID{},
-			report: `{"done":[1,2,3,4,5],"failed":[]}`},
+			report: `{"done":[1,2,3,4,5],"failed":[],"epoch":1}`},
 	}
 	for i, step := range steps {
 		code, got := grantTasks(t, ts.URL, step.k)
@@ -110,7 +110,8 @@ func TestTasksBatchClampsToEligible(t *testing.T) {
 
 // TestBatchProtocolRejections is the table-driven bad-input sweep for
 // the two batched endpoints: non-positive k, malformed JSON, duplicate
-// acks within one batch, and acks of never-allocated tasks.
+// acks within one batch, acks of never-allocated tasks, and an ack of a
+// leased task without the fencing epoch.
 func TestBatchProtocolRejections(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -124,11 +125,12 @@ func TestBatchProtocolRejections(t *testing.T) {
 		{"tasks malformed", "/tasks", `{"k":`, http.StatusBadRequest, "malformed"},
 		{"tasks wrong type", "/tasks", `{"k":"ten"}`, http.StatusBadRequest, "malformed"},
 		{"report malformed", "/report", `{"done":[`, http.StatusBadRequest, "malformed"},
-		{"report duplicate done", "/report", `{"done":[0,0]}`, http.StatusBadRequest, "twice"},
-		{"report done and failed overlap", "/report", `{"done":[0],"failed":[0]}`,
+		{"report duplicate done", "/report", `{"done":[0,0],"epoch":1}`, http.StatusBadRequest, "twice"},
+		{"report done and failed overlap", "/report", `{"done":[0],"failed":[0],"epoch":1}`,
 			http.StatusBadRequest, "twice"},
-		{"report unknown id", "/report", `{"done":[99]}`, http.StatusConflict, "out of range"},
-		{"report never allocated", "/report", `{"done":[1]}`, http.StatusConflict, ""},
+		{"report unknown id", "/report", `{"done":[99],"epoch":1}`, http.StatusConflict, "out of range"},
+		{"report never allocated", "/report", `{"done":[1],"epoch":1}`, http.StatusConflict, ""},
+		{"report without epoch", "/report", `{"done":[0]}`, http.StatusBadRequest, "without an epoch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,14 +178,14 @@ func TestReportAtomicThenRetry(t *testing.T) {
 	}
 	// Duplicate inside the batch: whole batch rejected, including the
 	// valid ack of task 1.
-	if code, _ := postJSON(t, ts.URL+"/report", `{"done":[1,0,1]}`); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts.URL+"/report", `{"done":[1,0,1],"epoch":1}`); code != http.StatusBadRequest {
 		t.Fatalf("duplicate batch returned %d, want 400", code)
 	}
 	if st := srv.Status(); st.Completed != 0 {
 		t.Fatalf("rejected batch completed %d tasks", st.Completed)
 	}
 	// Fixed batch applies in full.
-	code, body := postJSON(t, ts.URL+"/report", `{"done":[1,0]}`)
+	code, body := postJSON(t, ts.URL+"/report", `{"done":[1,0],"epoch":1}`)
 	if code != http.StatusOK {
 		t.Fatalf("fixed batch returned %d: %s", code, body)
 	}
@@ -196,7 +198,7 @@ func TestReportAtomicThenRetry(t *testing.T) {
 	}
 	// The same batch again — a retry after a lost response — is an
 	// idempotent no-op reported as duplicates.
-	code, body = postJSON(t, ts.URL+"/report", `{"done":[1,0]}`)
+	code, body = postJSON(t, ts.URL+"/report", `{"done":[1,0],"epoch":1}`)
 	if code != http.StatusOK {
 		t.Fatalf("replayed batch returned %d: %s", code, body)
 	}
@@ -241,7 +243,7 @@ func TestReportPiggybackGrant(t *testing.T) {
 		return code, resp
 	}
 
-	if code, body := postJSON(t, ts.URL+"/report", `{"done":[],"k":-1}`); code != http.StatusBadRequest ||
+	if code, body := postJSON(t, ts.URL+"/report", `{"done":[],"k":-1,"epoch":1}`); code != http.StatusBadRequest ||
 		!strings.Contains(string(body), "piggyback") {
 		t.Fatalf("negative k returned %d: %s, want 400 piggyback rejection", code, body)
 	}
@@ -249,14 +251,14 @@ func TestReportPiggybackGrant(t *testing.T) {
 		t.Fatalf("bootstrap grant %v, want [0]", got)
 	}
 	// A rejected report must not grant: task 2 was never allocated.
-	if code, _ := report(`{"done":[2],"k":3}`); code != http.StatusConflict {
+	if code, _ := report(`{"done":[2],"k":3,"epoch":1}`); code != http.StatusConflict {
 		t.Fatalf("never-allocated piggyback report returned %d, want 409", code)
 	}
 	if st := srv.Status(); st.Allocated != 1 {
 		t.Fatalf("rejected piggyback report changed leases: %+v", st)
 	}
 	// Ack the source and take the next two leaves in the same request.
-	code, resp := report(`{"done":[0],"k":2}`)
+	code, resp := report(`{"done":[0],"k":2,"epoch":1}`)
 	if code != http.StatusOK || resp.Completed != 1 || resp.NewlyEligible != leaves {
 		t.Fatalf("piggyback ack returned %d %+v", code, resp.BatchReport)
 	}
@@ -264,12 +266,12 @@ func TestReportPiggybackGrant(t *testing.T) {
 		t.Fatalf("piggyback grant %+v, want tasks [1 2]", resp)
 	}
 	// Oversized ask clamps to the one remaining leaf.
-	code, resp = report(`{"done":[1,2],"k":100}`)
+	code, resp = report(`{"done":[1,2],"k":100,"epoch":1}`)
 	if code != http.StatusOK || len(resp.Tasks) != 1 || resp.Tasks[0] != 3 || resp.Finished {
 		t.Fatalf("second piggyback returned %d %+v, want task [3]", code, resp)
 	}
 	// The terminal ack: nothing left, finished flag set.
-	code, resp = report(`{"done":[3],"k":4}`)
+	code, resp = report(`{"done":[3],"k":4,"epoch":1}`)
 	if code != http.StatusOK || len(resp.Tasks) != 0 || !resp.Finished {
 		t.Fatalf("terminal piggyback returned %d %+v, want finished", code, resp)
 	}
@@ -294,7 +296,7 @@ func TestGaugesAfterBatchGrant(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 
-		if code, body := postJSON(t, ts.URL+"/report", `{"done":[]}`); code != http.StatusOK {
+		if code, body := postJSON(t, ts.URL+"/report", `{"done":[],"epoch":1}`); code != http.StatusOK {
 			t.Fatalf("empty report returned %d: %s", code, body)
 		}
 		if _, got := grantTasks(t, ts.URL, 1); len(got) != 1 {
@@ -304,7 +306,7 @@ func TestGaugesAfterBatchGrant(t *testing.T) {
 		if code, got := grantTasks(t, ts.URL, 1); code != http.StatusOK || len(got) != 0 {
 			t.Fatalf("k=1 on an empty frontier returned %d %v", code, got)
 		}
-		if code, _ := postJSON(t, ts.URL+"/report", `{"done":[0]}`); code != http.StatusOK {
+		if code, _ := postJSON(t, ts.URL+"/report", `{"done":[0],"epoch":1}`); code != http.StatusOK {
 			t.Fatal("report source")
 		}
 		// All six leaves eligible; one request grants four, k=1 a fifth.

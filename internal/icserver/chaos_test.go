@@ -156,7 +156,7 @@ func TestChaosDuplicateDoneIdempotent(t *testing.T) {
 	if state != icserver.AllocOK {
 		t.Fatal("no allocation")
 	}
-	body := fmt.Sprintf(`{"done": [%d]}`, v)
+	body := fmt.Sprintf(`{"done": [%d], "epoch": 1}`, v)
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(ts.URL+"/report", "application/json", strings.NewReader(body))
 		if err != nil {

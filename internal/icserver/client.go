@@ -19,7 +19,7 @@ var ErrCrash = errors.New("icserver: client crashed")
 // Client is a remote IC client: it asks the server for work (POST
 // /tasks), runs the task function, and acks the grant (POST /report),
 // until the server says the computation is finished.  It is the Engine
-// on this package's own wire.
+// on a single-dag server.
 //
 // The client survives the transient failures of a real network: requests
 // that fail in transit or return 5xx are retried with exponential
@@ -104,28 +104,6 @@ func (c *Client) Run(ctx context.Context) (Stats, error) {
 	s, err := e.Run(ctx)
 	return Stats{Completed: s.Completed, IdlePolls: s.IdlePolls, Retries: s.Retries, Failed: s.Failed,
 		Batches: s.Batches, Resyncs: s.Resyncs}, err
-}
-
-// wire is this package's own Dialect: the /report request and reply of
-// one icserver, whose epoch is the top-level one in /status.
-type wire struct{}
-
-// Report encodes into a fresh slice, not a pooled one: net/http's
-// transport may still be reading a request body after Do returns.
-func (wire) Report(g Grant, done, failed []dag.NodeID, k int) []byte {
-	b := make([]byte, 0, 48+8*(len(done)+len(failed)))
-	return appendReportRequest(b, &reportRequest{Done: done, Failed: failed, K: k, Epoch: g.Epoch})
-}
-
-func (wire) Ack(body []byte) (Grant, bool, bool, error) {
-	r, err := decodeFast(body, parseReportResponse)
-	return Grant{Epoch: r.Epoch, Tasks: r.Tasks, Names: r.Names}, r.Finished, false, err
-}
-
-func (wire) Epoch(status []byte, _ Grant) uint64 {
-	var st Status
-	_ = json.Unmarshal(status, &st) // an unreadable body leaves the epoch 0: "does not say"
-	return st.Epoch
 }
 
 // FetchStatus reads the server's progress snapshot.

@@ -3,6 +3,7 @@ package icserver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -11,14 +12,17 @@ import (
 	"icsched/internal/dag"
 )
 
-// The batched wire's hot shapes — the /report request and reply, and the
-// /tasks reply — are encoded here by hand with strconv.Append*, and
-// decoded by a strict fast-path parser that knows only flat objects of
-// integers, booleans, null and integer arrays under known keys.  On
-// anything else the parser declines and the exact encoding/json call it
-// stands in for decodes the body, so the language each side accepts is
-// encoding/json's.  Every other body (/status, /healthz,
-// typed errors) stays on encoding/json.
+// The one task wire, served by this package and by the job service
+// (internal/jobs) alike: its hot shapes — the /report request and reply,
+// and the /tasks reply — are encoded here by hand with strconv.Append*,
+// and decoded by a strict fast-path parser that knows only flat objects
+// of integers, booleans, null, integer arrays and one plain string (a
+// job id) under known keys.  On anything else the parser declines and
+// the exact encoding/json call it stands in for decodes the body, so the
+// language each side accepts is encoding/json's.  A job service's bodies
+// add "job" (and "jobFinished" on a reply), which a single-dag server
+// never writes.  Every other body (/status, /healthz, typed errors, job
+// submissions) stays on encoding/json.
 
 // bufPool holds the handlers' request-body and reply buffers.
 var bufPool = sync.Pool{New: func() any {
@@ -47,9 +51,79 @@ func writeBody(w http.ResponseWriter, b []byte) {
 	_, _ = w.Write(b)
 }
 
+// ReadAsk decodes a POST /tasks body, {"k":n}, bounded by maxBodyBytes.
+// On a malformed body or k < 1 it writes the 400 and reports false.
+func ReadAsk(w http.ResponseWriter, r *http.Request) (k int, ok bool) {
+	var req tasksRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		http.Error(w, "icserver: malformed /tasks body: "+err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	if req.K < 1 {
+		http.Error(w, fmt.Sprintf("icserver: batch size %d < 1", req.K), http.StatusBadRequest)
+		return 0, false
+	}
+	return req.K, true
+}
+
+// ReadReport decodes a POST /report body, bounded by maxBodyBytes, with
+// the fast path.  When that declines, or the body could not be read in
+// full, json.NewDecoder decodes the same byte stream, so the handler
+// accepts what encoding/json accepts and fails with its errors.  On a
+// malformed body or k < 0 it writes the 400 and reports false; the
+// caller fences the epoch.
+func ReadReport(w http.ResponseWriter, r *http.Request) (ReportRequest, bool) {
+	buf := getBuf()
+	defer putBuf(buf)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	b, err := readAll((*buf)[:0], body)
+	*buf = b
+	req, ok := parseReportRequest(b)
+	if err != nil || !ok {
+		// The reader keeps returning its first error (io.EOF included), so
+		// the decoder sees exactly the stream a direct decode would have.
+		req = ReportRequest{}
+		err = json.NewDecoder(io.MultiReader(bytes.NewReader(b), body)).Decode(&req)
+	}
+	if err != nil {
+		http.Error(w, "icserver: malformed /report body: "+err.Error(), http.StatusBadRequest)
+		return req, false
+	}
+	if req.K < 0 {
+		http.Error(w, fmt.Sprintf("icserver: piggyback batch size %d < 0", req.K), http.StatusBadRequest)
+		return req, false
+	}
+	return req, true
+}
+
+// WriteGrant sends g as the 200 /tasks reply.
+func WriteGrant(w http.ResponseWriter, g *Grant) {
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendGrant(*buf, g)
+	writeBody(w, *buf)
+}
+
+// WriteReply sends r as the 200 /report reply.
+func WriteReply(w http.ResponseWriter, r *ReportReply) {
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendReportReply(*buf, r)
+	writeBody(w, *buf)
+}
+
+// reportBody encodes g's ack, piggybacking an ask for k tasks, into a
+// fresh slice, not a pooled one: net/http's transport may still be
+// reading a request body after Do returns.
+func reportBody(g *Grant, done, failed []dag.NodeID, k int) []byte {
+	b := make([]byte, 0, 48+len(g.Job)+8*(len(done)+len(failed)))
+	return appendReportRequest(b, &ReportRequest{Job: g.Job, Done: done, Failed: failed, K: k, Epoch: g.Epoch})
+}
+
 // appendReportRequest appends r exactly as json.Marshal encodes it.
-func appendReportRequest(b []byte, r *reportRequest) []byte {
-	b = append(b, `{"done":`...)
+func appendReportRequest(b []byte, r *ReportRequest) []byte {
+	b = appendJob(append(b, '{'), r.Job)
+	b = append(appendComma(b), `"done":`...)
 	b = appendIDs(b, r.Done)
 	b = append(b, `,"failed":`...)
 	b = appendIDs(b, r.Failed)
@@ -58,24 +132,25 @@ func appendReportRequest(b []byte, r *reportRequest) []byte {
 }
 
 // appendGrant appends g, the /tasks reply, as json.Encoder writes it
-// (newline included).  g.Job is not written: a job service's grants go
-// through encoding/json.
+// (newline included).
 func appendGrant(b []byte, g *Grant) []byte {
-	b = appendEpoch(append(b, '{'), g.Epoch)
+	b = appendJob(append(b, '{'), g.Job)
+	b = appendEpoch(b, g.Epoch)
 	b = append(appendComma(b), `"tasks":`...)
 	b = appendIDs(b, g.Tasks)
 	return append(appendNames(b, g.Names), "}\n"...)
 }
 
-// appendReportResponse appends r as json.Encoder writes it (newline
+// appendReportReply appends r as json.Encoder writes it (newline
 // included).
-func appendReportResponse(b []byte, r *reportResponse) []byte {
+func appendReportReply(b []byte, r *ReportReply) []byte {
 	b = append(b, '{')
 	b = appendCount(b, `"newlyEligible":`, r.NewlyEligible)
 	b = appendCount(b, `"completed":`, r.Completed)
 	b = appendCount(b, `"duplicates":`, r.Duplicates)
 	b = appendCount(b, `"requeued":`, r.Requeued)
 	b = appendCount(b, `"quarantined":`, r.Quarantined)
+	b = appendJob(b, r.Job)
 	if len(r.Tasks) > 0 {
 		b = appendComma(b)
 		b = append(b, `"tasks":`...)
@@ -85,6 +160,10 @@ func appendReportResponse(b []byte, r *reportResponse) []byte {
 	if r.Finished {
 		b = appendComma(b)
 		b = append(b, `"finished":true`...)
+	}
+	if r.JobFinished {
+		b = appendComma(b)
+		b = append(b, `"jobFinished":true`...)
 	}
 	return append(appendEpoch(b, r.Epoch), "}\n"...)
 }
@@ -112,6 +191,14 @@ func appendEpoch(b []byte, epoch uint64) []byte {
 		return b
 	}
 	return strconv.AppendUint(append(appendComma(b), `"epoch":`...), epoch, 10)
+}
+
+// appendJob appends an omitempty "job" field.
+func appendJob(b []byte, job string) []byte {
+	if job == "" {
+		return b
+	}
+	return appendString(append(appendComma(b), `"job":`...), job)
 }
 
 // appendIDs appends ids as a JSON array, nil as null.
@@ -159,10 +246,13 @@ func appendString(b []byte, s string) []byte {
 }
 
 // parseReportRequest is the fast path for a /report request body.
-func parseReportRequest(b []byte) (r reportRequest, ok bool) {
+func parseReportRequest(b []byte) (r ReportRequest, ok bool) {
 	p := openFlat(b)
 	for p.next() {
 		switch string(p.key) {
+		case "job":
+			p.once(4)
+			p.str(&r.Job)
 		case "done":
 			p.once(0)
 			p.ids(&r.Done)
@@ -182,9 +272,9 @@ func parseReportRequest(b []byte) (r reportRequest, ok bool) {
 	return r, p.ok()
 }
 
-// parseReportResponse is the fast path for a /report reply.  A reply
-// carrying names declines: the parser reads no strings.
-func parseReportResponse(b []byte) (r reportResponse, ok bool) {
+// parseReportReply is the fast path for a /report reply.  A reply
+// carrying names declines: the parser reads no string arrays.
+func parseReportReply(b []byte) (r ReportReply, ok bool) {
 	p := openFlat(b)
 	for p.next() {
 		switch string(p.key) {
@@ -212,6 +302,12 @@ func parseReportResponse(b []byte) (r reportResponse, ok bool) {
 		case "epoch":
 			p.once(7)
 			p.uint(&r.Epoch)
+		case "job":
+			p.once(8)
+			p.str(&r.Job)
+		case "jobFinished":
+			p.once(9)
+			p.bool(&r.JobFinished)
 		default:
 			p.bad = true
 		}
@@ -219,12 +315,15 @@ func parseReportResponse(b []byte) (r reportResponse, ok bool) {
 	return r, p.ok()
 }
 
-// parseGrant is the fast path for a /tasks reply.  A job service's grant
-// names its job, and a labeled dag's carries names: both decline.
+// parseGrant is the fast path for a /tasks reply.  A labeled dag's grant
+// carries names, and declines.
 func parseGrant(b []byte) (g Grant, ok bool) {
 	p := openFlat(b)
 	for p.next() {
 		switch string(p.key) {
+		case "job":
+			p.once(2)
+			p.str(&g.Job)
 		case "tasks":
 			p.once(0)
 			p.ids(&g.Tasks)
@@ -246,26 +345,6 @@ func decodeFast[T any](body []byte, fast func([]byte) (T, bool)) (T, error) {
 	}
 	var v T
 	err := json.Unmarshal(body, &v)
-	return v, err
-}
-
-// decodeBody reads a request body, bounded by maxBodyBytes, into *buf and
-// decodes it with the fast path.  When that declines, or the body could
-// not be read in full, json.NewDecoder decodes the same byte stream, so a
-// handler accepts what it accepted before and fails with the same errors.
-func decodeBody[T any](w http.ResponseWriter, r *http.Request, buf *[]byte, fast func([]byte) (T, bool)) (T, error) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	b, err := readAll((*buf)[:0], body)
-	*buf = b
-	if err == nil {
-		if v, ok := fast(b); ok {
-			return v, nil
-		}
-	}
-	// The reader keeps returning its first error (io.EOF included), so
-	// the decoder sees exactly the stream a direct decode would have.
-	var v T
-	err = json.NewDecoder(io.MultiReader(bytes.NewReader(b), body)).Decode(&v)
 	return v, err
 }
 
@@ -321,30 +400,35 @@ func (p *flat) next() bool {
 		return false
 	}
 	p.fields++
-	p.space()
-	if !p.eat('"') {
-		p.bad = true
-		return false
-	}
-	start := p.i
-	for p.i < len(p.b) && p.b[p.i] != '"' {
-		if c := p.b[p.i]; c < 0x20 || c >= 0x80 || c == '\\' {
-			p.bad = true // only plain keys can be known ones
-			return false
-		}
-		p.i++
-	}
-	p.key = p.b[start:p.i]
-	if p.i == len(p.b) {
-		p.bad = true
-		return false
-	}
-	p.i++
-	if !p.eat(':') {
+	p.key = p.plain() // only plain keys can be known ones
+	if p.bad || !p.eat(':') {
 		p.bad = true
 		return false
 	}
 	return true
+}
+
+// plain reads a string of printable ASCII without escapes and returns
+// what is between its quotes; anything else sets bad.
+func (p *flat) plain() []byte {
+	if !p.eat('"') {
+		p.bad = true
+		return nil
+	}
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] != '"' {
+		if c := p.b[p.i]; c < 0x20 || c >= 0x80 || c == '\\' {
+			p.bad = true
+			return nil
+		}
+		p.i++
+	}
+	if p.i == len(p.b) {
+		p.bad = true
+		return nil
+	}
+	p.i++
+	return p.b[start : p.i-1]
 }
 
 // ok reports whether the whole body was one accepted object.
@@ -447,6 +531,14 @@ func (p *flat) bool(dst *bool) {
 		*dst = false
 	default:
 		p.bad = true // null included: json would leave the field as it was
+	}
+}
+
+// str reads a plain string field (see plain).  Anything else — null
+// included, which json would leave as it was — declines.
+func (p *flat) str(dst *string) {
+	if s := p.plain(); !p.bad {
+		*dst = string(s)
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 // hand-backs mixed — in one report that piggybacks the next ask, so the
 // steady state is ONE round trip (and one server lock acquisition) per
 // batch.  The public clients (Client here, jobs.Client) are its two
-// configurations: each names a service and a Dialect, nothing else.  An
-// Engine runs once.
+// configurations: both speak the one /tasks + /report wire (codec.go),
+// a job service's grants and acks naming their job.  An Engine runs
+// once.
 //
 // Transport errors and 5xx are retried with capped exponential backoff
 // and seeded jitter; a typed 409 stale-epoch ack is resynced and re-sent
@@ -33,9 +34,6 @@ type Engine struct {
 	// /status.  A request that stays unanswered past the retry budget
 	// ends the run with that error.
 	BaseURL string
-	// Dialect encodes acks and decodes their replies (nil: this package's
-	// own /tasks + /report wire).
-	Dialect Dialect
 	// Compute executes one granted task; job names the grant's job on a
 	// job service.  Nil completes every task.
 	Compute func(job string, task dag.NodeID, name string) error
@@ -66,22 +64,6 @@ type EngineStats struct {
 	Retries      int // transient request failures retried
 	Resyncs      int // stale-epoch rejections resynced
 	JobsFinished int // acks that said the acked job reached its terminal state
-}
-
-// Dialect is what differs between the services a fleet talks to.  Asks
-// ({"k":n}) and grants ({"job","epoch","tasks","names"}) read the same on
-// all of them; the ack, its reply, and where GET /status keeps the
-// current epoch do not.
-type Dialect interface {
-	// Report is the encoded body of g's ack, piggybacking an ask for k
-	// tasks.
-	Report(g Grant, done, failed []dag.NodeID, k int) []byte
-	// Ack decodes a 200 /report reply: the piggybacked next grant, whether
-	// the endpoint reached its terminal state, and whether g's job did.
-	Ack(body []byte) (next Grant, finished, jobFinished bool, err error)
-	// Epoch picks the fencing epoch g's report must now carry out of a GET
-	// /status body; 0 when the body does not say.
-	Epoch(status []byte, g Grant) uint64
 }
 
 // Grant is a batch in hand: task ids of one dag (Job names it on a job
@@ -126,9 +108,6 @@ func (e *Engine) init() {
 		}
 		if e.HTTP == nil {
 			e.HTTP = http.DefaultClient
-		}
-		if e.Dialect == nil {
-			e.Dialect = wire{}
 		}
 		seed := e.Seed
 		if seed == 0 {
@@ -249,23 +228,23 @@ func (e *Engine) drain(ctx context.Context, ask *int) (moved, finished bool, err
 			return true, false, err
 		}
 		*ask = nextAsk(*ask, len(g.Tasks), e.Batch)
-		body, err := e.report(ctx, &g, func() []byte { return e.Dialect.Report(g, done, failed, *ask) })
+		body, err := e.report(ctx, &g, func() []byte { return reportBody(&g, done, failed, *ask) })
 		if err != nil {
 			return true, false, err
 		}
 		e.stats.Completed += len(done)
 		e.stats.Failed += len(failed)
-		next, finished, jobFinished, err := e.Dialect.Ack(body)
+		r, err := decodeFast(body, parseReportReply)
 		if err != nil {
 			return true, false, fmt.Errorf("icserver worker: %s/report: %w", e.BaseURL, err)
 		}
-		if jobFinished {
+		if r.JobFinished {
 			e.stats.JobsFinished++
 		}
-		if finished {
+		if r.Finished {
 			return true, true, nil
 		}
-		g = next
+		g = Grant{Job: r.Job, Epoch: r.Epoch, Tasks: r.Tasks, Names: r.Names}
 	}
 	return true, false, nil
 }
@@ -337,7 +316,7 @@ func isStaleEpoch(code int, body []byte) bool {
 func (e *Engine) resync(ctx context.Context, g *Grant, rejection []byte) error {
 	e.stats.Resyncs++
 	if _, status, err := do(ctx, e.HTTP, http.MethodGet, e.BaseURL+"/status", nil, ""); err == nil {
-		if epoch := e.Dialect.Epoch(status, *g); epoch != 0 {
+		if epoch := statusEpoch(status, *g); epoch != 0 {
 			g.Epoch = epoch
 			return nil
 		}
@@ -351,6 +330,30 @@ func (e *Engine) resync(ctx context.Context, g *Grant, rejection []byte) error {
 		return nil
 	}
 	return errors.New("icserver worker: stale-epoch rejection without a recoverable epoch")
+}
+
+// statusEpoch picks the fencing epoch g's report must now carry out of a
+// GET /status body: the server's own epoch for a plain grant, its job's
+// entry in the job list for a job service's; 0 when the body does not
+// say.
+func statusEpoch(status []byte, g Grant) uint64 {
+	var st struct {
+		Epoch uint64 `json:"epoch"`
+		Jobs  []struct {
+			Job   string `json:"job"`
+			Epoch uint64 `json:"epoch"`
+		} `json:"jobs"`
+	}
+	_ = json.Unmarshal(status, &st) // an unreadable body says nothing
+	if g.Job == "" {
+		return st.Epoch
+	}
+	for _, j := range st.Jobs {
+		if j.Job == g.Job {
+			return j.Epoch
+		}
+	}
+	return 0
 }
 
 // postRetry POSTs a JSON body (nil: no body), retrying transport errors

@@ -55,17 +55,17 @@ func TestJournalFailedRefusesAndRecovers(t *testing.T) {
 		}
 	}
 
-	post("/tasks", `{"k":1}`, http.StatusOK)             // grants 0
-	post("/report", `{"done":[0],"k":2}`, http.StatusOK) // completes 0, grants 1 and 2
+	post("/tasks", `{"k":1}`, http.StatusOK)                       // grants 0
+	post("/report", `{"done":[0],"k":2,"epoch":1}`, http.StatusOK) // completes 0, grants 1 and 2
 	s.mu.Lock()
 	acked := s.snapshotLocked()
 	s.mu.Unlock()
 
 	s.wal.Kill()
-	journalFailed("/report", `{"done":[1],"k":1}`) // its own batch fails
+	journalFailed("/report", `{"done":[1],"k":1,"epoch":1}`) // its own batch fails
 	journalFailed("/tasks", `{"k":1}`)
-	journalFailed("/report", `{"done":[2]}`)
-	journalFailed("/report", `{"done":[2],"k":1}`)
+	journalFailed("/report", `{"done":[2],"epoch":1}`)
+	journalFailed("/report", `{"done":[2],"k":1,"epoch":1}`)
 
 	s2, err := Recover(dir, g, heur.FIFO(), wopts, WithLease(time.Minute))
 	if err != nil {

@@ -313,7 +313,7 @@ func TestKilledServerRefusesRequests(t *testing.T) {
 	defer ts.Close()
 	srv.Kill()
 	srv.Kill() // idempotent
-	for path, body := range map[string]string{"/tasks": `{"k":1}`, "/report": `{"done":[]}`} {
+	for path, body := range map[string]string{"/tasks": `{"k":1}`, "/report": `{"done":[],"epoch":1}`} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

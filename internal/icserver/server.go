@@ -28,13 +28,13 @@
 //	POST /tasks  {"k": n} -> 200 {"epoch": e, "tasks": [ids], "names": [labels]?}
 //	                         (empty array when nothing is eligible right now)
 //	                         |  400 (k < 1)  |  410 (finished)  |  503 (draining)
-//	POST /report {"done": [ids], "failed": [ids], "k": n?, "epoch": e?}
+//	POST /report {"done": [ids], "failed": [ids], "k": n?, "epoch": e}
 //	                      -> 200 {"newlyEligible"?, "completed"?, "duplicates"?,
 //	                              "requeued"?, "quarantined"?,
 //	                              "tasks": [ids]?, "names": [labels]?,
 //	                              "finished": b?, "epoch": e}
-//	                         |  400 (malformed, k < 0, or a task listed twice)
-//	                         |  409 (out-of-range or never-allocated task)
+//	                         |  400 (malformed, k < 0, no epoch, or a task listed twice)
+//	                         |  409 (out-of-range or never-allocated task, or a stale epoch)
 //	GET  /status          -> 200 {"total", "completed", "eligible", "allocated",
 //	                              "stalls", "reissues", "failed", "quarantined"}
 //	GET  /healthz         -> 200/503 {"status", "uptimeSeconds", "completed", "total"}
@@ -44,7 +44,8 @@
 // along, parallel to "tasks", only when the dag is labeled — a client
 // names an unlabeled task dag.DefaultName(id).  A /report reply omits
 // zero counts.  These hot bodies are hand-encoded and fast-path decoded
-// (codec.go), with encoding/json as the fallback for anything else.
+// (codec.go), with encoding/json as the fallback for anything else; the
+// job service (internal/jobs) speaks the same wire, adding a "job" id.
 //
 // One request amortizes the scheduler lock and the HTTP round-trip over
 // up to k tasks; k = 1 is the paper's one-task-per-request client (§2.2).
@@ -355,28 +356,34 @@ type tasksRequest struct {
 	K int `json:"k"`
 }
 
-// reportRequest is the batched /report payload: a mixed batch of
-// completions and early hand-backs, acked in one request.  A positive K
+// ReportRequest is the /report payload: a mixed batch of completions
+// and early hand-backs of one grant (Job names its job on a job
+// service), acked in one request under the grant's epoch.  A positive K
 // piggybacks the next grant onto the ack — the server acks the batch and
 // grants up to K next tasks under the same single lock acquisition, so a
-// steady-state batched client needs one round trip per batch, not two.
-type reportRequest struct {
+// steady-state client needs one round trip per batch, not two.
+type ReportRequest struct {
+	Job    string       `json:"job,omitempty"`
 	Done   []dag.NodeID `json:"done"`
 	Failed []dag.NodeID `json:"failed"`
 	K      int          `json:"k,omitempty"`
 	Epoch  uint64       `json:"epoch,omitempty"`
 }
 
-// reportResponse is the /report reply: the batch summary plus, when the
-// request piggybacked an ask (K > 0), the next grant.  Finished reports
-// the terminal state (the piggybacked analog of the /tasks 410) — it can only
-// turn true on a piggybacked report, never on a plain ack.
-type reportResponse struct {
+// ReportReply is the /report reply: the batch summary plus, when the
+// request piggybacked an ask (K > 0), the next grant (on a job service
+// possibly another job's).  Finished reports the terminal state (the
+// piggybacked analog of the /tasks 410) — it can only turn true on a
+// piggybacked report, never on a plain ack; JobFinished, that the acked
+// job reached its own.
+type ReportReply struct {
 	BatchReport
-	Tasks    []dag.NodeID `json:"tasks,omitempty"`
-	Names    []string     `json:"names,omitempty"`
-	Finished bool         `json:"finished,omitempty"`
-	Epoch    uint64       `json:"epoch,omitempty"`
+	Job         string       `json:"job,omitempty"`
+	Tasks       []dag.NodeID `json:"tasks,omitempty"`
+	Names       []string     `json:"names,omitempty"`
+	Finished    bool         `json:"finished,omitempty"`
+	JobFinished bool         `json:"jobFinished,omitempty"`
+	Epoch       uint64       `json:"epoch,omitempty"`
 }
 
 // BatchReport summarizes what a /report batch did; it is also the
@@ -436,8 +443,8 @@ const (
 	ReasonJournalFailed = "journal-failed"
 )
 
-// writeUnavailable emits the typed 503 body.
-func writeUnavailable(w http.ResponseWriter, reason, detail string) {
+// WriteUnavailable emits the typed 503 body (the job service's too).
+func WriteUnavailable(w http.ResponseWriter, reason, detail string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	_ = json.NewEncoder(w).Encode(unavailableResponse{Error: unavailableError, Reason: reason, Detail: detail})
@@ -460,11 +467,11 @@ func (s *Server) refuse(w http.ResponseWriter, checkDrain bool) (refused, draini
 		if errors.Is(err, errJournalFailed) {
 			reason = ReasonJournalFailed
 		}
-		writeUnavailable(w, reason, err.Error())
+		WriteUnavailable(w, reason, err.Error())
 		return true, draining
 	}
 	if checkDrain && draining {
-		writeUnavailable(w, ReasonDraining, "icserver: draining, no new grants")
+		WriteUnavailable(w, ReasonDraining, "icserver: draining, no new grants")
 		return true, draining
 	}
 	return false, draining
@@ -515,42 +522,44 @@ type staleEpochResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// fenceStale rejects a nonzero request epoch that does not match the
-// serving incarnation.  The epoch is fixed per incarnation, so the
-// unlocked read is safe.  A report without an epoch (zero) is applied
-// unfenced: every client in this tree stamps the grant's epoch on its
-// ack, but raw epoch-less /report bodies still rely on this contract, as
-// jobs.Server.Report's own epoch check does.
-func (s *Server) fenceStale(w http.ResponseWriter, reqEpoch uint64) bool {
-	if reqEpoch == 0 || reqEpoch == s.epoch {
+// WriteStaleEpoch emits the typed 409 body rejecting a report fenced
+// against epoch, the current one (the job service's too).
+func WriteStaleEpoch(w http.ResponseWriter, epoch uint64) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusConflict)
+	_ = json.NewEncoder(w).Encode(staleEpochResponse{Error: staleEpochError, Epoch: epoch})
+}
+
+// fence refuses a /report whose epoch is not the serving incarnation's:
+// 400 without one (an unfenced ack could cross a restart unchecked), the
+// typed 409 with a stale one.  The epoch is fixed per incarnation, so
+// the unlocked read is safe.
+func (s *Server) fence(w http.ResponseWriter, reqEpoch uint64) bool {
+	switch reqEpoch {
+	case 0:
+		http.Error(w, "report without an epoch", http.StatusBadRequest)
+		return true
+	case s.epoch:
 		return false
 	}
 	s.mu.Lock()
 	s.staleReports++
 	s.mu.Unlock()
 	s.m.staleReports.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusConflict)
-	_ = json.NewEncoder(w).Encode(staleEpochResponse{Error: staleEpochError, Epoch: s.epoch})
+	WriteStaleEpoch(w, s.epoch)
 	return true
 }
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	s.m.reqTasks.Inc()
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req tasksRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "icserver: malformed /tasks body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.K < 1 {
-		http.Error(w, fmt.Sprintf("icserver: batch size %d < 1", req.K), http.StatusBadRequest)
+	k, ok := ReadAsk(w, r)
+	if !ok {
 		return
 	}
 	if refused, _ := s.refuse(w, true); refused {
 		return
 	}
-	batch, state, err := s.allocateBatch(req.K, r.Header.Get(clientHeader))
+	batch, state, err := s.allocateBatch(k, r.Header.Get(clientHeader))
 	if err != nil {
 		writeCoreError(w, err)
 		return
@@ -559,31 +568,18 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusGone)
 		return
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	// The reply is a Grant; its Tasks is empty when nothing is eligible.
-	*buf = appendGrant(*buf, &Grant{Epoch: s.epoch, Tasks: batch, Names: GrantNames(s.g, batch)})
-	writeBody(w, *buf)
+	// Tasks is empty when nothing is eligible.
+	WriteGrant(w, &Grant{Epoch: s.epoch, Tasks: batch, Names: GrantNames(s.g, batch)})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.m.reqReport.Inc()
-	buf := getBuf()
-	defer putBuf(buf)
-	req, err := decodeBody(w, r, buf, parseReportRequest)
-	if err != nil {
-		http.Error(w, "icserver: malformed /report body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.K < 0 {
-		http.Error(w, fmt.Sprintf("icserver: piggyback batch size %d < 0", req.K), http.StatusBadRequest)
+	req, ok := ReadReport(w, r)
+	if !ok {
 		return
 	}
 	refused, draining := s.refuse(w, false)
-	if refused {
-		return
-	}
-	if s.fenceStale(w, req.Epoch) {
+	if refused || s.fence(w, req.Epoch) {
 		return
 	}
 	actor := r.Header.Get(clientHeader)
@@ -591,7 +587,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		k = 0 // completions are welcome during drain; new grants are not
 	}
-	resp := reportResponse{Epoch: s.epoch}
+	resp := ReportReply{Epoch: s.epoch}
+	var err error
 	if k == 0 {
 		resp.BatchReport, err = s.report(req.Done, req.Failed, actor)
 	} else {
@@ -604,9 +601,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeReportError(w, err)
 		return
 	}
-	// The request's ids were copied out of buf, so the reply may reuse it.
-	*buf = appendReportResponse((*buf)[:0], &resp)
-	writeBody(w, *buf)
+	WriteReply(w, &resp)
 }
 
 // GrantNames is a grant's "names" field: the names of batch's tasks when
@@ -640,16 +635,16 @@ func writeReportError(w http.ResponseWriter, err error) {
 func writeCoreError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errKilled):
-		writeUnavailable(w, ReasonKilled, err.Error())
+		WriteUnavailable(w, ReasonKilled, err.Error())
 	case errors.Is(err, errJournalFailed):
-		writeUnavailable(w, ReasonJournalFailed, err.Error())
+		WriteUnavailable(w, ReasonJournalFailed, err.Error())
 	default:
 		http.Error(w, err.Error(), http.StatusConflict)
 	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Status())
+	WriteJSON(w, s.Status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -669,10 +664,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(h)
 		return
 	}
-	writeJSON(w, h)
+	WriteJSON(w, h)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON sends v as a 200 JSON reply (the job service's too).
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
 }

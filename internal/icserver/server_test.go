@@ -362,8 +362,8 @@ func TestRequestBodyLimits(t *testing.T) {
 	}
 	bodies := []struct{ name, body string }{
 		{"empty", ""},
-		{"padded object", `{"k": 1, "done": [], "pad": "` + strings.Repeat("x", 70<<10) + `"}`},
-		{"huge array", `{"done": [` + ids.String() + `], "k": 1}`},
+		{"padded object", `{"k": 1, "done": [], "epoch": 1, "pad": "` + strings.Repeat("x", 70<<10) + `"}`},
+		{"huge array", `{"done": [` + ids.String() + `], "k": 1, "epoch": 1}`},
 	}
 	for _, path := range []string{"/tasks", "/report"} {
 		for _, b := range bodies {

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -19,9 +18,9 @@ import (
 // job, chosen by the server's weighted-fair policy.
 //
 // The loop itself — retry, backoff, adaptive ask, stale-epoch resync —
-// is icserver.Engine; what is the job service's own
-// is the dialect below: reports name their job, and a fenced report
-// resyncs to that job's epoch in the GET /status job list.
+// is icserver.Engine on icserver's one wire: grants and reports name
+// their job, and a fenced report resyncs to that job's epoch in the GET
+// /status job list.
 type Client struct {
 	// BaseURL of the job service.
 	BaseURL string
@@ -72,41 +71,11 @@ func (c *Client) Run(ctx context.Context) (ClientStats, error) {
 
 // engine configures the shared worker loop for the job service.
 func (c *Client) engine() *icserver.Engine {
-	e := &icserver.Engine{BaseURL: c.BaseURL, Dialect: dialect{}, Compute: c.Compute, Batch: c.Batch, HTTP: c.HTTP,
+	e := &icserver.Engine{BaseURL: c.BaseURL, Compute: c.Compute, Batch: c.Batch, HTTP: c.HTTP,
 		ID: c.ID, Seed: c.Seed, IdleWait: c.IdleWait, IdleWaitMax: c.IdleWaitMax, RetryWait: c.RetryWait,
 		RetryWaitMax: c.RetryWaitMax, MaxAttempts: c.MaxAttempts}
 	if e.Batch <= 0 {
 		e.Batch = 8
 	}
 	return e
-}
-
-// dialect is the job service's icserver.Dialect.
-type dialect struct{}
-
-func (dialect) Report(g icserver.Grant, done, failed []dag.NodeID, k int) []byte {
-	b, _ := json.Marshal(reportRequest{Job: g.Job, Epoch: g.Epoch, Done: done, Failed: failed, K: k})
-	return b
-}
-
-// Ack reads a ReportResult; the next grant may be another job's.  A job
-// service never reaches a terminal state of its own.
-func (dialect) Ack(body []byte) (icserver.Grant, bool, bool, error) {
-	var r struct {
-		JobFinished bool           `json:"jobFinished"`
-		Grant       icserver.Grant `json:"grant"`
-	}
-	err := json.Unmarshal(body, &r)
-	return r.Grant, false, r.JobFinished, err
-}
-
-func (dialect) Epoch(status []byte, g icserver.Grant) uint64 {
-	var st statusResponse
-	_ = json.Unmarshal(status, &st) // an unreadable body lists no jobs: "does not say"
-	for _, j := range st.Jobs {
-		if j.Job == g.Job {
-			return j.Epoch
-		}
-	}
-	return 0
 }

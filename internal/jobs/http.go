@@ -8,46 +8,31 @@ import (
 	"net/http"
 	"strings"
 
-	"icsched/internal/dag"
 	"icsched/internal/icserver"
 )
 
-// HTTP wire format.  The job service speaks the same dialect as the
-// single-dag icserver — typed JSON error bodies, job-scoped batched
-// grants with piggybacked asks — with every grant and report carrying a
-// job ID and that job's epoch:
+// HTTP wire format.  /tasks and /report are icserver's one task wire —
+// the same bodies, codec and typed errors (icserver/codec.go) — with
+// every grant and report naming its job, the epoch being that job's, and
+// a report's reply saying when the acked job finished:
 //
 //	POST /jobs    {"tenant":"a","family":"wavefront","size":32}   → 202 JobStatus
 //	POST /jobs    {"tenant":"a","dag":{"nodes":3,"arcs":[[0,2]]}} → 202 JobStatus
 //	GET  /jobs                                → 200 [JobStatus...]
 //	GET  /jobs/{id}                           → 200 JobStatus | 404
-//	POST /tasks   {"k":8}                     → 200 GrantSet (one job's tasks)
-//	POST /report  {"job":"j1","epoch":1,"done":[...],"failed":[...],"k":8}
-//	                                          → 200 ReportResult | 409 stale epoch
+//	POST /tasks   {"k":8}                     → 200 {"job":"j1","epoch":1,"tasks":[...]}
+//	POST /report  {"job":"j1","done":[...],"failed":[...],"k":8,"epoch":1}
+//	              → 200 {"completed":2,…,"job":"j2","tasks":[...],"jobFinished":true,"epoch":3}
+//	              | 400 (no job, no epoch, malformed) | 404 unknown job | 409 stale epoch
 //	GET  /status                              → 200 statusResponse (service + job list)
 //	GET  /metrics                             → Prometheus text
 //	GET  /healthz                             → 200 ok
 //
-// Refusals mirror icserver's typed bodies: 503 {"error":"unavailable",
-// "reason":...} on a draining/dead service, 429 {"error":"backpressure",
-// "tenant":...} over a tenant's queue cap, 409 {"error":"stale epoch",
-// "epoch":E} on a fenced report.
-
-// allocRequest asks for up to K tasks (from whichever job fairness
-// picks).
-type allocRequest struct {
-	K int `json:"k"`
-}
-
-// reportRequest acks one job-scoped batch, optionally piggybacking the
-// next ask.
-type reportRequest struct {
-	Job    string       `json:"job"`
-	Epoch  uint64       `json:"epoch,omitempty"`
-	Done   []dag.NodeID `json:"done,omitempty"`
-	Failed []dag.NodeID `json:"failed,omitempty"`
-	K      int          `json:"k,omitempty"`
-}
+// The piggybacked grant in a /report reply may be another job's.
+// Refusals are icserver's typed bodies: 503 {"error":"unavailable",
+// "reason":...} on a draining/dead service, 409 {"error":"stale epoch",
+// "epoch":E} on a fenced report — plus the job service's own 429
+// {"error":"backpressure","tenant":...} over a tenant's queue cap.
 
 // statusResponse is GET /status: the service snapshot plus the full job
 // list (clients resync a fenced job's epoch from here).
@@ -62,25 +47,6 @@ type backpressureResponse struct {
 	Tenant string `json:"tenant"`
 }
 
-// unavailableResponse mirrors icserver's typed 503 body.
-type unavailableResponse struct {
-	Error  string `json:"error"`
-	Reason string `json:"reason"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// staleEpochResponse mirrors icserver's typed 409 body; the current
-// epoch lets the client resync in place.
-type staleEpochResponse struct {
-	Error string `json:"error"`
-	Epoch uint64 `json:"epoch"`
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeServiceError maps the typed jobs errors onto response codes.
 func writeServiceError(w http.ResponseWriter, err error) {
 	var unavail UnavailableError
@@ -88,29 +54,20 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	var stale StaleEpochError
 	switch {
 	case errors.As(err, &unavail):
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(unavailableResponse{
-			Error: "unavailable", Reason: unavail.Reason, Detail: err.Error()})
+		icserver.WriteUnavailable(w, unavail.Reason, err.Error())
 	case errors.As(err, &busy):
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusTooManyRequests)
 		_ = json.NewEncoder(w).Encode(backpressureResponse{
 			Error: "backpressure", Tenant: busy.Tenant})
 	case errors.As(err, &stale):
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusConflict)
-		_ = json.NewEncoder(w).Encode(staleEpochResponse{
-			Error: "stale epoch", Epoch: stale.Epoch})
+		icserver.WriteStaleEpoch(w, stale.Epoch)
 	case errors.Is(err, ErrUnknownJob):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case icserver.IsDuplicateAck(err):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case icserver.IsUnavailable(err):
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(unavailableResponse{
-			Error: "unavailable", Reason: icserver.ReasonKilled, Detail: err.Error()})
+		icserver.WriteUnavailable(w, icserver.ReasonKilled, err.Error())
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
@@ -162,7 +119,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 		_ = json.NewEncoder(w).Encode(st)
 	case http.MethodGet:
-		writeJSON(w, s.Jobs())
+		icserver.WriteJSON(w, s.Jobs())
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -180,7 +137,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("%v: %s", ErrUnknownJob, id), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, st)
+	icserver.WriteJSON(w, st)
 }
 
 // handleTasks: POST /tasks grants up to k tasks of one fairness-chosen
@@ -190,16 +147,16 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	req := allocRequest{K: 1}
-	if !decodeInto(w, r, &req) {
+	k, ok := icserver.ReadAsk(w, r)
+	if !ok {
 		return
 	}
-	grant, err := s.Allocate(req.K)
+	grant, err := s.Allocate(k)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, grant)
+	icserver.WriteGrant(w, &grant)
 }
 
 // handleReport: POST /report acks a job-scoped batch and piggybacks the
@@ -209,12 +166,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req reportRequest
-	if !decodeInto(w, r, &req) {
+	req, ok := icserver.ReadReport(w, r)
+	switch {
+	case !ok:
 		return
-	}
-	if req.Job == "" {
+	case req.Job == "":
 		http.Error(w, "report without a job", http.StatusBadRequest)
+		return
+	case req.Epoch == 0: // the in-process Report takes 0 as unfenced; the wire does not
+		http.Error(w, "report without an epoch", http.StatusBadRequest)
 		return
 	}
 	res, err := s.Report(req.Job, req.Done, req.Failed, req.Epoch, req.K)
@@ -222,7 +182,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, res)
+	icserver.WriteReply(w, &res)
 }
 
 // handleStatus: GET /status — the service snapshot plus the job list,
@@ -233,5 +193,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, statusResponse{Status: s.ServiceStatus(), Jobs: s.Jobs()})
+	icserver.WriteJSON(w, statusResponse{Status: s.ServiceStatus(), Jobs: s.Jobs()})
 }

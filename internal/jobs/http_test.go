@@ -33,6 +33,17 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// ask1 is a /tasks body asking for one task.
+var ask1 = map[string]int{"k": 1}
+
+// typedError reads icserver's typed 503 and 409 bodies, which the job
+// service sends.
+type typedError struct {
+	Error  string `json:"error"`
+	Reason string `json:"reason"`
+	Epoch  uint64 `json:"epoch"`
+}
+
 func getJSON(t *testing.T, url string, v any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -198,8 +209,9 @@ func TestHTTPFleetEndToEnd(t *testing.T) {
 
 // TestHTTPTypedErrors pins the wire mapping of the typed service
 // errors: 429 backpressure, 409 stale epoch (with the current token in
-// the body), 400 duplicate-in-batch, 404 unknown job, 503 with a
-// reason after drain.
+// the body), 400 duplicate-in-batch, 404 unknown job, 400 on a report
+// without a job, without an epoch or past the 64 KiB body bound (none
+// applied), 503 with a reason after drain.
 func TestHTTPTypedErrors(t *testing.T) {
 	s := New(Config{MaxQueued: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -227,50 +239,64 @@ func TestHTTPTypedErrors(t *testing.T) {
 	// Grant one task, then report it under a wrong epoch: typed 409
 	// carrying the current epoch.
 	waitState(t, s, st.Job, StateActive)
-	code, body = postJSON(t, ts.URL+"/tasks", allocRequest{K: 1})
+	code, body = postJSON(t, ts.URL+"/tasks", ask1)
 	if code != http.StatusOK {
 		t.Fatalf("/tasks -> %d: %s", code, body)
 	}
-	var grant GrantSet
+	var grant icserver.Grant
 	if err := json.Unmarshal(body, &grant); err != nil || len(grant.Tasks) != 1 {
 		t.Fatalf("grant %s", body)
 	}
-	code, body = postJSON(t, ts.URL+"/report", reportRequest{
+	code, body = postJSON(t, ts.URL+"/report", icserver.ReportRequest{
 		Job: grant.Job, Epoch: grant.Epoch + 5, Done: []dag.NodeID{grant.Tasks[0]}})
 	if code != http.StatusConflict {
 		t.Fatalf("stale report -> %d: %s", code, body)
 	}
-	var rej staleEpochResponse
+	var rej typedError
 	if err := json.Unmarshal(body, &rej); err != nil || rej.Error != "stale epoch" || rej.Epoch != grant.Epoch {
 		t.Fatalf("409 body %s", body)
 	}
 
 	// Duplicate task in one batch: 400.
 	v := grant.Tasks[0]
-	code, _ = postJSON(t, ts.URL+"/report", reportRequest{
+	code, _ = postJSON(t, ts.URL+"/report", icserver.ReportRequest{
 		Job: grant.Job, Epoch: grant.Epoch, Done: []dag.NodeID{v, v}})
 	if code != http.StatusBadRequest {
 		t.Fatalf("duplicate-in-batch -> %d, want 400", code)
 	}
 
 	// Unknown job: 404.
-	code, _ = postJSON(t, ts.URL+"/report", reportRequest{Job: "j999", Done: []dag.NodeID{0}})
+	code, _ = postJSON(t, ts.URL+"/report", icserver.ReportRequest{Job: "j999", Done: []dag.NodeID{0}, Epoch: 1})
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown-job report -> %d, want 404", code)
 	}
 
 	// Missing job field: 400.
-	code, _ = postJSON(t, ts.URL+"/report", reportRequest{Done: []dag.NodeID{0}})
+	code, _ = postJSON(t, ts.URL+"/report", icserver.ReportRequest{Done: []dag.NodeID{0}, Epoch: 1})
 	if code != http.StatusBadRequest {
 		t.Fatalf("jobless report -> %d, want 400", code)
 	}
 
+	// Missing epoch, or a body past the bound: 400, and nothing applied.
+	done := fmt.Sprintf(`"job":%q,"done":[%d]`, grant.Job, v)
+	for name, raw := range map[string]string{
+		"epochless": `{` + done + `}`,
+		"oversized": `{` + done + fmt.Sprintf(`,"epoch":%d,"pad":"%s"}`, grant.Epoch, strings.Repeat("x", 70<<10)),
+	} {
+		if code, body := postJSON(t, ts.URL+"/report", json.RawMessage(raw)); code != http.StatusBadRequest {
+			t.Fatalf("%s report -> %d: %s", name, code, body)
+		}
+		if got, _ := s.JobByID(st.Job); got.Completed != 0 {
+			t.Fatalf("the %s report applied: %+v", name, got)
+		}
+	}
+
 	// A correct report for the same task succeeds (and clears its lease,
 	// so the graceful drain below has nothing in flight).
-	code, body = postJSON(t, ts.URL+"/report", reportRequest{
+	code, body = postJSON(t, ts.URL+"/report", icserver.ReportRequest{
 		Job: grant.Job, Epoch: grant.Epoch, Done: []dag.NodeID{v}})
-	if code != http.StatusOK {
-		t.Fatalf("valid report -> %d: %s", code, body)
+	if got, _ := s.JobByID(st.Job); code != http.StatusOK || got.Completed != 1 {
+		t.Fatalf("valid report -> %d: %s, job %+v", code, body, got)
 	}
 
 	// After drain: 503 with the typed reason, while /status still answers
@@ -278,11 +304,11 @@ func TestHTTPTypedErrors(t *testing.T) {
 	if err := closeServer(s); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	code, body = postJSON(t, ts.URL+"/tasks", allocRequest{K: 1})
+	code, body = postJSON(t, ts.URL+"/tasks", ask1)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("draining /tasks -> %d", code)
 	}
-	var unavail unavailableResponse
+	var unavail typedError
 	if err := json.Unmarshal(body, &unavail); err != nil || unavail.Error != "unavailable" || unavail.Reason != "draining" {
 		t.Fatalf("503 body %s", body)
 	}
@@ -383,7 +409,7 @@ func TestManifestWriteFailureRefuses(t *testing.T) {
 	}
 
 	isJournalFailed := func(code int, body []byte) bool {
-		var u unavailableResponse
+		var u typedError
 		return code == http.StatusServiceUnavailable && json.Unmarshal(body, &u) == nil &&
 			u.Error == "unavailable" && u.Reason == icserver.ReasonJournalFailed
 	}
@@ -401,7 +427,7 @@ func TestManifestWriteFailureRefuses(t *testing.T) {
 	if st, _ := s.JobByID(job.Job); refused == 0 || st.State != StateFinished || st.Completed != st.Nodes {
 		t.Fatalf("%d /report replies refused, job %+v: want the job-finishing report refused", refused, st)
 	}
-	for path, req := range map[string]any{"/jobs": sp, "/tasks": allocRequest{K: 1}} {
+	for path, req := range map[string]any{"/jobs": sp, "/tasks": ask1} {
 		if code, body := postJSON(t, ts.URL+path, req); !isJournalFailed(code, body) {
 			t.Fatalf("POST %s after the failed write -> %d: %s", path, code, body)
 		}

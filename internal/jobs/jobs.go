@@ -645,23 +645,19 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 	return s.jobStatusLocked(j), nil
 }
 
-// GrantSet is one allocation: up to k task ids of ONE job (so a worker's
-// batch — compute then report — stays job-scoped), stamped with the
-// job's fencing epoch, with names only when the job's dag is labeled.  It
-// is the grant the fleet's engine reads, icserver's.  An empty Tasks
-// slice means nothing is allocatable anywhere right now.
-type GrantSet = icserver.Grant
-
-// Allocate grants up to k tasks from the job the weighted-fair policy
-// picks — the in-process form of POST /tasks.
-func (s *Server) Allocate(k int) (GrantSet, error) {
+// Allocate grants up to k tasks of ONE job, the one the weighted-fair
+// policy picks (so a worker's batch — compute then report — stays
+// job-scoped), stamped with that job's epoch — the in-process form of
+// POST /tasks.  An empty Tasks slice means nothing is allocatable
+// anywhere right now.
+func (s *Server) Allocate(k int) (icserver.Grant, error) {
 	if k < 1 {
-		return GrantSet{}, fmt.Errorf("jobs: batch size %d < 1", k)
+		return icserver.Grant{}, fmt.Errorf("jobs: batch size %d < 1", k)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.refuseLocked(true); err != nil {
-		return GrantSet{}, err
+		return icserver.Grant{}, err
 	}
 	s.m.grantRequests.Inc()
 	return s.pickLocked(k)
@@ -673,7 +669,7 @@ func (s *Server) Allocate(k int) (GrantSet, error) {
 // within a tenant are drained in activation order; a job discovered
 // terminal during the scan is finalized on the spot, and a failed write
 // of its finish event ends the scan with nothing granted.
-func (s *Server) pickLocked(k int) (GrantSet, error) {
+func (s *Server) pickLocked(k int) (icserver.Grant, error) {
 	tenants := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		if len(t.active) > 0 {
@@ -695,7 +691,7 @@ func (s *Server) pickLocked(k int) (GrantSet, error) {
 			batch, st := j.srv.AllocateBatch(k)
 			if st == icserver.AllocFinished {
 				if err := s.finalizeJobLocked(j); err != nil {
-					return GrantSet{}, err
+					return icserver.Grant{}, err
 				}
 				continue
 			}
@@ -705,10 +701,10 @@ func (s *Server) pickLocked(k int) (GrantSet, error) {
 			t.pass += float64(len(batch)) / float64(t.weight)
 			t.granted += len(batch)
 			s.m.granted.Add(float64(len(batch)))
-			return GrantSet{Job: j.id, Epoch: j.srv.Epoch(), Tasks: batch, Names: icserver.GrantNames(j.g, batch)}, nil
+			return icserver.Grant{Job: j.id, Epoch: j.srv.Epoch(), Tasks: batch, Names: icserver.GrantNames(j.g, batch)}, nil
 		}
 	}
-	return GrantSet{Tasks: []dag.NodeID{}}, nil
+	return icserver.Grant{Tasks: []dag.NodeID{}}, nil
 }
 
 // finalizeJobLocked retires a terminal job: terminal accounting frozen,
@@ -743,15 +739,6 @@ func (s *Server) finalizeJobLocked(j *Job) error {
 	return err
 }
 
-// ReportResult is the /report reply: the ack summary, whether the acked
-// job reached its terminal state, and — when the request piggybacked an
-// ask — the next grant (possibly from a different job).
-type ReportResult struct {
-	icserver.BatchReport
-	JobFinished bool     `json:"jobFinished,omitempty"`
-	Grant       GrantSet `json:"grant"`
-}
-
 // Report acks a job-scoped batch of completions and hand-backs and,
 // when k > 0, piggybacks the next weighted-fair grant under the same
 // lock acquisition — the in-process form of POST /report.  A nonzero
@@ -759,47 +746,49 @@ type ReportResult struct {
 // with StaleEpochError (carrying the current epoch, so the client
 // resyncs without another round trip).  Reports to an already-finished
 // job are absorbed as idempotent duplicates — the retried-report-
-// across-recovery case.
-func (s *Server) Report(jobID string, done, failed []dag.NodeID, epoch uint64, k int) (ReportResult, error) {
+// across-recovery case.  The reply says whether the acked job reached
+// its terminal state, and carries the next grant, possibly another
+// job's.
+func (s *Server) Report(jobID string, done, failed []dag.NodeID, epoch uint64, k int) (icserver.ReportReply, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.refuseLocked(false); err != nil {
-		return ReportResult{}, err
+		return icserver.ReportReply{}, err
 	}
 	j, ok := s.jobs[jobID]
 	if !ok {
-		return ReportResult{}, fmt.Errorf("%w: %s", ErrUnknownJob, jobID)
+		return icserver.ReportReply{}, fmt.Errorf("%w: %s", ErrUnknownJob, jobID)
 	}
-	var res ReportResult
+	var res icserver.ReportReply
 	switch j.state {
 	case StateFinished:
 		res.BatchReport = icserver.BatchReport{Duplicates: len(done)}
 		res.JobFinished = true
 	case StateActive:
 		if epoch != 0 && epoch != j.srv.Epoch() {
-			return ReportResult{}, StaleEpochError{j.srv.Epoch()}
+			return icserver.ReportReply{}, StaleEpochError{j.srv.Epoch()}
 		}
 		rep, err := j.srv.Report(done, failed)
 		if err != nil {
-			return ReportResult{}, err
+			return icserver.ReportReply{}, err
 		}
 		res.BatchReport = rep
 		if j.srv.Finished() {
 			if err := s.finalizeJobLocked(j); err != nil {
-				return ReportResult{}, err
+				return icserver.ReportReply{}, err
 			}
 			res.JobFinished = true
 		}
 	default:
-		return ReportResult{}, fmt.Errorf("jobs: job %s is %s, not reportable", jobID, j.state)
+		return icserver.ReportReply{}, fmt.Errorf("jobs: job %s is %s, not reportable", jobID, j.state)
 	}
 	s.m.reports.Inc()
-	res.Grant = GrantSet{Tasks: []dag.NodeID{}}
 	if k > 0 && !s.draining {
-		var err error
-		if res.Grant, err = s.pickLocked(k); err != nil {
-			return ReportResult{}, err
+		g, err := s.pickLocked(k)
+		if err != nil {
+			return icserver.ReportReply{}, err
 		}
+		res.Job, res.Epoch, res.Tasks, res.Names = g.Job, g.Epoch, g.Tasks, g.Names
 	}
 	return res, nil
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"icsched/internal/dag"
+	"icsched/internal/icserver"
 	"icsched/internal/wal"
 )
 
@@ -542,7 +543,7 @@ func TestActivationDoesNotBlockGrants(t *testing.T) {
 	}
 
 	type result struct {
-		grant GrantSet
+		grant icserver.Grant
 		err   error
 	}
 	got := make(chan result, 1)
