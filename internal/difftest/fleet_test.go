@@ -207,39 +207,39 @@ func TestWireSequenceGolden(t *testing.T) {
 
 var goldenBatched = []string{
 	`POST /tasks {"k":1}`,
-	`POST /report {"done":[0],"failed":null,"k":2,"epoch":1}`,
+	`POST /report {"done":[0],"k":2,"epoch":1}`,
 	`POST /report {"done":[1],"failed":[2],"k":4,"epoch":1}`,
 	`POST /report {"done":[1],"failed":[2],"k":4,"epoch":1}`,
 	`GET /status`,
 	`POST /report {"done":[1],"failed":[2],"k":4,"epoch":2}`,
-	`POST /report {"done":[2],"failed":null,"k":4,"epoch":2}`,
+	`POST /report {"done":[2],"k":4,"epoch":2}`,
 	`POST /tasks {"k":4}`,
 	`POST /tasks {"k":1}`,
-	`POST /report {"done":[3],"failed":null,"k":2,"epoch":2}`,
+	`POST /report {"done":[3],"k":2,"epoch":2}`,
 }
 
 var goldenK1 = []string{
 	`POST /tasks {"k":1}`,
-	`POST /report {"done":[0],"failed":null,"k":1,"epoch":1}`,
+	`POST /report {"done":[0],"k":1,"epoch":1}`,
 	`POST /tasks {"k":1}`,
 	`POST /tasks {"k":1}`,
 	`POST /tasks {"k":1}`,
-	`POST /report {"done":null,"failed":[1],"k":1,"epoch":1}`,
+	`POST /report {"failed":[1],"k":1,"epoch":1}`,
 	`GET /status`,
-	`POST /report {"done":null,"failed":[1],"k":1,"epoch":2}`,
-	`POST /report {"done":[1],"failed":null,"k":1,"epoch":2}`,
+	`POST /report {"failed":[1],"k":1,"epoch":2}`,
+	`POST /report {"done":[1],"k":1,"epoch":2}`,
 }
 
 var goldenJobs = []string{
 	`POST /tasks {"k":1}`,
-	`POST /report {"job":"j1","done":[0],"failed":null,"k":2,"epoch":1}`,
+	`POST /report {"job":"j1","done":[0],"k":2,"epoch":1}`,
 	`POST /report {"job":"j2","done":[1],"failed":[2],"k":4,"epoch":3}`,
 	`POST /report {"job":"j2","done":[1],"failed":[2],"k":4,"epoch":3}`,
 	`GET /status`,
 	`POST /report {"job":"j2","done":[1],"failed":[2],"k":4,"epoch":5}`,
 	`POST /tasks {"k":4}`,
 	`POST /tasks {"k":1}`,
-	`POST /report {"job":"j2","done":[2],"failed":null,"k":2,"epoch":5}`,
+	`POST /report {"job":"j2","done":[2],"k":2,"epoch":5}`,
 }
 
 // fleetFlavours builds one worker of each client flavour against url,

@@ -123,10 +123,8 @@ func reportBody(g *Grant, done, failed []dag.NodeID, k int) []byte {
 // appendReportRequest appends r exactly as json.Marshal encodes it.
 func appendReportRequest(b []byte, r *ReportRequest) []byte {
 	b = appendJob(append(b, '{'), r.Job)
-	b = append(appendComma(b), `"done":`...)
-	b = appendIDs(b, r.Done)
-	b = append(b, `,"failed":`...)
-	b = appendIDs(b, r.Failed)
+	b = appendIDField(b, `"done":`, r.Done)
+	b = appendIDField(b, `"failed":`, r.Failed)
 	b = appendCount(b, `"k":`, r.K)
 	return append(appendEpoch(b, r.Epoch), '}')
 }
@@ -151,11 +149,7 @@ func appendReportReply(b []byte, r *ReportReply) []byte {
 	b = appendCount(b, `"requeued":`, r.Requeued)
 	b = appendCount(b, `"quarantined":`, r.Quarantined)
 	b = appendJob(b, r.Job)
-	if len(r.Tasks) > 0 {
-		b = appendComma(b)
-		b = append(b, `"tasks":`...)
-		b = appendIDs(b, r.Tasks)
-	}
+	b = appendIDField(b, `"tasks":`, r.Tasks)
 	b = appendNames(b, r.Names)
 	if r.Finished {
 		b = appendComma(b)
@@ -199,6 +193,14 @@ func appendJob(b []byte, job string) []byte {
 		return b
 	}
 	return appendString(append(appendComma(b), `"job":`...), job)
+}
+
+// appendIDField appends an omitempty id-array field.
+func appendIDField(b []byte, key string, ids []dag.NodeID) []byte {
+	if len(ids) == 0 {
+		return b
+	}
+	return appendIDs(append(appendComma(b), key...), ids)
 }
 
 // appendIDs appends ids as a JSON array, nil as null.

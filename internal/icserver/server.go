@@ -364,8 +364,8 @@ type tasksRequest struct {
 // steady-state client needs one round trip per batch, not two.
 type ReportRequest struct {
 	Job    string       `json:"job,omitempty"`
-	Done   []dag.NodeID `json:"done"`
-	Failed []dag.NodeID `json:"failed"`
+	Done   []dag.NodeID `json:"done,omitempty"`
+	Failed []dag.NodeID `json:"failed,omitempty"`
 	K      int          `json:"k,omitempty"`
 	Epoch  uint64       `json:"epoch,omitempty"`
 }
