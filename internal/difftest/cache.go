@@ -18,7 +18,7 @@ import (
 // node count, one arc removed) does NOT hit — the isomorphism guard has
 // to tell the shapes apart.
 func checkCache(g *dag.Dag, order []dag.NodeID, want []int, ref []uint64, rng *rand.Rand) error {
-	cache := schedcache.New(schedcache.Options{Capacity: 8, Shards: 1})
+	cache := schedcache.New(schedcache.Options{Capacity: 8})
 	compute := func() ([]dag.NodeID, string, error) { return order, "difftest", nil }
 
 	cold, err := cache.GetOrCompute(g, "difftest", compute)

@@ -10,14 +10,15 @@ import (
 	"icsched/internal/mesh"
 	"icsched/internal/prefix"
 	"icsched/internal/sched"
+	"icsched/internal/schedcache"
 )
 
 // maxJobNodes bounds one job's dag so a single submission cannot pin the
-// builder stage (or the registry's memory) arbitrarily long.
+// admitter (or the registry's memory) arbitrarily long.
 const maxJobNodes = 1 << 20
 
 // familyBuilder builds one named dag family at a size, returning the dag
-// and the IC-optimal nonsink allocation prefix the analyzer completes.
+// and the IC-optimal nonsink allocation prefix the analysis completes.
 type familyBuilder struct {
 	desc     string
 	min, max int
@@ -41,9 +42,9 @@ var familyBuilders = map[string]familyBuilder{
 		}},
 }
 
-// buildJob is the builder stage's work: resolve a Spec into a dag plus
+// buildJob is the admitter's first step: resolve a Spec into a dag plus
 // (for named families) the IC-optimal nonsink prefix.  A panicking
-// family constructor is reported as a build error, not a crashed stage.
+// family constructor is reported as a build error, not a crashed admitter.
 func buildJob(sp Spec) (g *dag.Dag, nonsinks []dag.NodeID, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -102,10 +103,7 @@ func cacheProvenance(sp Spec) string {
 // output — so a non-exact (relabeled) cache hit falls back to a direct
 // recomputation rather than a translated order.
 func (s *Server) recoverOrder(j *Job) ([]dag.NodeID, error) {
-	res, err := s.cfg.Cache.GetOrCompute(j.g, cacheClass(j.spec), func() ([]dag.NodeID, string, error) {
-		order, err := analyzeJob(j.g, j.nonsinks)
-		return order, cacheProvenance(j.spec), err
-	})
+	res, err := s.lookupOrder(j)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +113,16 @@ func (s *Server) recoverOrder(j *Job) ([]dag.NodeID, error) {
 	return res.Order, nil
 }
 
-// analyzeJob is the analyzer stage's work: compute the allocation order
+// lookupOrder resolves a built job's allocation order through the
+// schedule cache, running analyzeJob on a miss.
+func (s *Server) lookupOrder(j *Job) (schedcache.Result, error) {
+	return s.cfg.Cache.GetOrCompute(j.g, cacheClass(j.spec), func() ([]dag.NodeID, string, error) {
+		order, err := analyzeJob(j.g, j.nonsinks)
+		return order, cacheProvenance(j.spec), err
+	})
+}
+
+// analyzeJob is the admitter's analysis: compute the allocation order
 // the job's scheduler replays.  Named families complete their IC-optimal
 // nonsink prefix (the paper's schedule); raw dagio payloads get the
 // strongest online heuristic (MAX-NEW-ELIGIBLE) as their analysis.

@@ -102,7 +102,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleJobs: POST submits one job (202 Accepted — execution is
-// asynchronous through the pipeline); GET lists every job.
+// asynchronous through the admitter); GET lists every job.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:

@@ -1,10 +1,9 @@
 // Package jobs turns the single-dag task server (internal/icserver) into
 // a multi-tenant job service: a stream of job submissions — each a dagio
-// payload or a named family+size — flows through a staged pipeline
-// (builder → analyzer → activator, connected by channels) so new jobs
-// are built and analyzed concurrently with the execution of earlier
-// ones, and a job registry multiplexes every live job across one shared
-// client fleet.
+// payload or a named family+size — queues for one admitter goroutine that
+// builds, analyzes and activates each job in turn while the fleet's
+// handlers execute the earlier ones, and a job registry multiplexes every
+// live job across one shared client fleet.
 //
 // Grants carry a job ID and that job's fencing epoch; /tasks and /report
 // are job-scoped.  Which job a grant draws from is decided by per-tenant
@@ -62,8 +61,8 @@ type Spec struct {
 
 // Job states, as reported in JobStatus.
 const (
-	StateQueued   = "queued"   // submitted, waiting for the builder stage
-	StateBuilding = "building" // in the builder/analyzer stages
+	StateQueued   = "queued"   // submitted, waiting for the admitter
+	StateBuilding = "building" // being built and analyzed by the admitter
 	StateActive   = "active"   // executing: its tasks are grantable
 	StateFinished = "finished" // every task completed (or degraded-terminal)
 	StateFailed   = "failed"   // build or analysis rejected the spec
@@ -78,7 +77,6 @@ type Job struct {
 	g        *dag.Dag
 	nonsinks []dag.NodeID // family jobs: the IC-optimal nonsink prefix
 	order    []dag.NodeID
-	buildErr error
 	cacheHit bool // analysis served from the schedule cache
 	replay   bool // steady-state replay: cursor-journaled cached order
 
@@ -120,7 +118,7 @@ type Config struct {
 	// (default 256); submissions beyond it are refused with
 	// BackpressureError.
 	MaxQueued int
-	// Cache is the schedule cache the analyzer stage consults before
+	// Cache is the schedule cache the admitter consults before
 	// computing an allocation order (nil = a private default-sized one).
 	// Sharing one cache across services shares the analyses.
 	Cache *schedcache.Cache
@@ -158,11 +156,9 @@ type Server struct {
 	killed   bool
 	chClosed bool
 
-	buildCh    chan *Job
-	analyzeCh  chan *Job
-	activateCh chan *Job
-	wg         sync.WaitGroup
-	// activating is held while the activator builds a job's task server
+	admitCh chan *Job
+	wg      sync.WaitGroup
+	// activating is held while the admitter builds a job's task server
 	// off mu; Kill takes it first, so no activation writes to disk
 	// after Kill returns.
 	activating sync.Mutex
@@ -229,23 +225,22 @@ func (e StaleEpochError) Error() string {
 // New builds a memory-only job service.
 func New(cfg Config) *Server {
 	s := newServer(cfg, "")
-	s.startPipeline()
+	s.wg.Add(1)
+	go s.admitter()
 	return s
 }
 
 func newServer(cfg Config, dir string) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		dir:        dir,
-		jobs:       make(map[string]*Job),
-		tenants:    make(map[string]*tenant),
-		nextID:     1,
-		buildCh:    make(chan *Job, 4096),
-		analyzeCh:  make(chan *Job, 256),
-		activateCh: make(chan *Job, 256),
-		now:        cfg.Clock,
-		reg:        obs.NewRegistry(),
+		cfg:     cfg,
+		dir:     dir,
+		jobs:    make(map[string]*Job),
+		tenants: make(map[string]*tenant),
+		nextID:  1,
+		admitCh: make(chan *Job, 4096),
+		now:     cfg.Clock,
+		reg:     obs.NewRegistry(),
 	}
 	s.start = s.now()
 	s.m = newJobsMetrics(s.reg)
@@ -257,7 +252,7 @@ func newServer(cfg Config, dir string) *Server {
 // replayed: finished jobs keep their terminal accounting, jobs that
 // were active are rebuilt exactly from their own task journals (with a
 // bumped epoch each), and jobs that were admitted but never activated
-// re-enter the pipeline.
+// re-enter the admission queue.
 func Recover(dir string, cfg Config) (*Server, error) {
 	events, valid, err := readManifest(dir)
 	if err != nil {
@@ -342,13 +337,12 @@ func Recover(dir string, cfg Config) (*Server, error) {
 		}
 	}
 	s.syncGaugesLocked()
-	s.startPipeline()
+	s.wg.Add(1)
+	go s.admitter()
+	// The admitter is running, so a backlog longer than the queue (one
+	// more job was in its hands at the crash) waits only for it to dequeue.
 	for _, j := range queued {
-		select {
-		case s.buildCh <- j:
-		default:
-			return nil, fmt.Errorf("jobs: recover: build queue overflow re-admitting %s", j.id)
-		}
+		s.admitCh <- j
 	}
 	return s, nil
 }
@@ -384,95 +378,49 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // CacheStats snapshots the schedule cache's counters.
 func (s *Server) CacheStats() schedcache.Stats { return s.cfg.Cache.Stats() }
 
-// startPipeline launches the builder → analyzer → activator stages.
-func (s *Server) startPipeline() {
-	s.wg.Add(3)
-	go s.builder()
-	go s.analyzer()
-	go s.activator()
-}
-
-// builder resolves specs into dags, concurrently with execution of
-// already-active jobs.
-func (s *Server) builder() {
+// admitter builds, analyzes and activates each queued job in turn, off
+// the grant path: the fleet's handler goroutines execute active jobs
+// meanwhile.  The schedule cache turns the analysis into a
+// canonical-hash lookup for repeated shapes.
+func (s *Server) admitter() {
 	defer s.wg.Done()
-	defer close(s.analyzeCh)
-	for j := range s.buildCh {
+	for j := range s.admitCh {
 		s.mu.Lock()
-		if j.state == StateQueued {
-			j.state = StateBuilding
-		}
+		j.state = StateBuilding
 		s.mu.Unlock()
-		j.g, j.nonsinks, j.buildErr = buildJob(j.spec)
-		s.analyzeCh <- j
-	}
-}
-
-// analyzer resolves each job's allocation order (the scheduling
-// analysis), still off the grant path.  The schedule cache turns the
-// analysis into a canonical-hash lookup for repeated shapes: a warm hit
-// skips the computation entirely, and an exact (same-labeling) hit
-// additionally arms steady-state replay — grants become cursor walks over
-// the cached order.
-func (s *Server) analyzer() {
-	defer s.wg.Done()
-	defer close(s.activateCh)
-	for j := range s.analyzeCh {
-		if j.buildErr == nil {
-			j.buildErr = s.analyzeCached(j)
+		var res schedcache.Result
+		var err error
+		if j.g, j.nonsinks, err = buildJob(j.spec); err == nil {
+			res, err = s.lookupOrder(j)
 		}
-		s.activateCh <- j
-	}
-}
-
-// analyzeCached runs the analyzer stage's work for one built job through
-// the schedule cache.
-func (s *Server) analyzeCached(j *Job) error {
-	res, err := s.cfg.Cache.GetOrCompute(j.g, cacheClass(j.spec), func() ([]dag.NodeID, string, error) {
-		order, err := analyzeJob(j.g, j.nonsinks)
-		return order, cacheProvenance(j.spec), err
-	})
-	if err != nil {
-		return err
-	}
-	j.order = res.Order
-	s.mu.Lock() // JobByID and Jobs read cacheHit and replay under s.mu while the job is still in the pipeline
-	defer s.mu.Unlock()
-	j.cacheHit = res.Hit
-	// Replay requires an exact-labeling entry: identity translation means
-	// the cached order is byte-for-byte what analyzeJob(g) re-derives, so
-	// a recovered incarnation folds the cursor journal against the very
-	// same order.
-	j.replay = res.Exact
-	return nil
-}
-
-// activator attaches the per-job task server and admits the job to its
-// tenant's active list, making its tasks grantable.
-func (s *Server) activator() {
-	defer s.wg.Done()
-	for j := range s.activateCh {
 		s.activating.Lock()
-		s.activate(j)
+		s.activate(j, res, err)
 		s.activating.Unlock()
 	}
 }
 
-// activate admits one analyzed job.  Its task server is built off s.mu —
-// on a durable service that is a directory, a segment, a fence record
-// and an fsync — so grants and reports for the other jobs go on
-// meanwhile; the service's state is rechecked under the lock afterwards.
-func (s *Server) activate(j *Job) {
+// activate admits one analyzed job, or fails it with err from its build
+// or analysis.  Its task server is built off s.mu — on a durable service
+// that is a directory, a segment, a fence record and an fsync — so
+// grants and reports for the other jobs go on meanwhile; the service's
+// state is rechecked under the lock afterwards.
+func (s *Server) activate(j *Job, res schedcache.Result, err error) {
 	s.mu.Lock()
 	if s.dropActivationLocked() {
 		s.mu.Unlock()
 		return
 	}
-	if j.buildErr != nil {
-		s.failJobLocked(j, j.buildErr)
+	if err != nil {
+		s.failJobLocked(j, err)
 		s.mu.Unlock()
 		return
 	}
+	j.order, j.cacheHit = res.Order, res.Hit
+	// Replay requires an exact-labeling entry: identity translation means
+	// the cached order is byte-for-byte what analyzeJob(g) re-derives, so
+	// a recovered incarnation folds the cursor journal against the very
+	// same order.
+	j.replay = res.Exact
 	s.mu.Unlock()
 
 	srv, err := s.jobCore(j)
@@ -492,7 +440,7 @@ func (s *Server) activate(j *Job) {
 	j.srv = srv
 	j.state = StateActive
 	j.activatedAt = s.now()
-	// No request waits on the activator: a failed write only wounds
+	// No request waits on the admitter: a failed write only wounds
 	// the service (s.manErr), which refuses every later request.
 	_ = s.journalLocked(manifestEvent{Event: "activate", At: j.activatedAt.UnixNano(),
 		Job: j.id, Replay: j.replay})
@@ -509,7 +457,7 @@ func (s *Server) activate(j *Job) {
 	s.syncGaugesLocked()
 }
 
-// dropActivationLocked reports whether the activator must drop a job
+// dropActivationLocked reports whether the admitter must drop a job
 // (caller holds s.mu): it stays out of memory, and the manifest still
 // holds its submission, so a future Recover re-admits it.
 func (s *Server) dropActivationLocked() bool {
@@ -517,7 +465,7 @@ func (s *Server) dropActivationLocked() bool {
 }
 
 // failJobLocked marks a job rejected by build/analysis (caller holds
-// s.mu).  Like the activator it answers no request, so a failed manifest
+// s.mu).  Like activation it answers no request, so a failed manifest
 // write only wounds the service.
 func (s *Server) failJobLocked(j *Job, err error) {
 	j.state = StateFailed
@@ -593,7 +541,7 @@ func (s *Server) minActivePassLocked() (float64, bool) {
 }
 
 // Submit admits one job: validated, journaled durably (submit event
-// fsynced before the ack), and queued into the pipeline.  The returned
+// fsynced before the ack), and queued for the admitter.  The returned
 // JobStatus carries the assigned job ID.
 func (s *Server) Submit(sp Spec) (JobStatus, error) {
 	if sp.Tenant == "" {
@@ -621,22 +569,22 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 		state:       StateQueued,
 		submittedAt: s.now(),
 	}
+	s.nextID++ // consumed even when refused below: the manifest names it
 	if err := s.journalLocked(manifestEvent{Event: "submit", At: j.submittedAt.UnixNano(),
 		Job: j.id, Tenant: sp.Tenant, Weight: sp.Weight,
 		Family: sp.Family, Size: sp.Size, Dag: sp.Dag}); err != nil {
 		return JobStatus{}, err
 	}
 	select {
-	case s.buildCh <- j:
+	case s.admitCh <- j:
 	default:
 		s.m.backpressure.Inc()
 		if err := s.journalLocked(manifestEvent{Event: "finish", At: s.now().UnixNano(),
-			Job: j.id, Error: "jobs: build queue full"}); err != nil {
+			Job: j.id, Error: "jobs: admission queue full"}); err != nil {
 			return JobStatus{}, err
 		}
 		return JobStatus{}, BackpressureError{sp.Tenant}
 	}
-	s.nextID++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	t.queued++
@@ -709,9 +657,12 @@ func (s *Server) pickLocked(k int) (icserver.Grant, error) {
 
 // finalizeJobLocked retires a terminal job: terminal accounting frozen,
 // tenant bookkeeping advanced, finish journaled, and the job's own task
-// journal flushed and closed (caller holds s.mu).  The error is the
-// finish event's failed write; the job is retired in memory regardless,
-// and Recover finds it active with every task done and retires it again.
+// server killed (caller holds s.mu).  The error is the finish event's
+// failed write; the job is retired in memory regardless, and the service
+// is wounded.  Recover then finds the job active and rebuilds it from its
+// task journal, which, like every live job's, may have lost at most its
+// unsynced tail (wal.Options.SyncEvery); it retires the job again once
+// those tasks are redone.
 func (s *Server) finalizeJobLocked(j *Job) error {
 	st := j.srv.Status()
 	j.nodes, j.completed, j.quarantined, j.epoch = st.Total, st.Completed, st.Quarantined, st.Epoch
@@ -729,12 +680,9 @@ func (s *Server) finalizeJobLocked(j *Job) error {
 		Job: j.id, Nodes: j.nodes, Completed: j.completed, Quarantined: j.quarantined})
 	s.m.finished.Inc()
 	s.m.jobLatency.Observe(j.finishedAt.Sub(j.submittedAt).Seconds())
-	// No lease is outstanding on a terminal job, so the drain inside
-	// Shutdown returns immediately; this just flushes and closes the
-	// job's journal.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	_ = j.srv.Shutdown(ctx)
-	cancel()
+	// Recover never reads a finished job's journal once the (fsynced)
+	// finish event is in the manifest, so it is closed without a flush.
+	j.srv.Kill()
 	s.syncGaugesLocked()
 	return err
 }
@@ -937,8 +885,8 @@ func (s *Server) syncGaugesLocked() {
 }
 
 // Close drains the service gracefully: no new submissions or grants,
-// the pipeline runs dry (jobs not yet active stay journaled for a
-// future Recover), every active job's journal is flushed and closed,
+// the admitter stops (jobs not yet active stay journaled for a future
+// Recover), every active job's journal is flushed and closed,
 // and the manifest is closed.  Idempotent.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
@@ -949,7 +897,7 @@ func (s *Server) Close(ctx context.Context) error {
 	s.draining = true
 	if !s.chClosed {
 		s.chClosed = true
-		close(s.buildCh)
+		close(s.admitCh)
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -988,7 +936,7 @@ func (s *Server) Kill() {
 	s.killed = true
 	if !s.chClosed {
 		s.chClosed = true
-		close(s.buildCh)
+		close(s.admitCh)
 	}
 	for _, t := range s.tenants {
 		for _, j := range t.active {

@@ -567,6 +567,138 @@ func TestActivationDoesNotBlockGrants(t *testing.T) {
 	waitState(t, s, bid, StateActive)
 }
 
+// TestRecoverFinishedJobWithoutJournal: Recover never reads a finished
+// job's task journal, so the job keeps its terminal accounting from the
+// manifest alone.
+func TestRecoverFinishedJobWithoutJournal(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Recover(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, s)
+	id := h.submit(Spec{Tenant: "a", Family: "prefix", Size: 8})
+	h.drain(4)
+	want := waitState(t, s, id, StateFinished)
+	s.Kill()
+	if err := os.RemoveAll(filepath.Join(dir, "job-"+id)); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Recover(dir, Config{})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer closeServer(s2)
+	got, ok := s2.JobByID(id)
+	if !ok || got.State != StateFinished || got.Nodes != want.Nodes || got.Completed != want.Completed || got.Nodes == 0 {
+		t.Fatalf("recovered %s = %+v, want finished with %d/%d", id, got, want.Completed, want.Nodes)
+	}
+}
+
+// TestQueueFullRefusalKeepsJobIDs fills the admission queue while the
+// admitter is held in an activation: the queue-full refusal journals
+// its job ID, so the next accepted submission must get a fresh one —
+// in the manifest and in Jobs() after a recovery.
+func TestQueueFullRefusalKeepsJobIDs(t *testing.T) {
+	var armed atomic.Bool
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	cfg := Config{MaxQueued: 1 << 14, Wal: wal.Options{FsyncObserver: func(time.Duration) {
+		if armed.Load() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+	}}}
+	dir := t.TempDir()
+	s, err := Recover(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	unblock := func() {
+		if !released {
+			released = true
+			armed.Store(false)
+			close(release)
+		}
+	}
+	defer func() {
+		unblock()
+		s.Kill()
+	}()
+	sp := Spec{Tenant: "a", Family: "prefix", Size: 2}
+	first, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, first.Job, StateActive)
+	armed.Store(true) // the next fsync is the next job's fence
+	if _, err := s.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the admitter never reached the held fence fsync")
+	}
+	var busy BackpressureError
+	for i := 0; ; i++ {
+		if i > cfg.MaxQueued {
+			t.Fatal("the admission queue never filled")
+		}
+		if _, err = s.Submit(sp); err != nil {
+			break
+		}
+	}
+	if !errors.As(err, &busy) {
+		t.Fatalf("submit into a full queue: %v, want BackpressureError", err)
+	}
+	unblock()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, err = s.Submit(sp); errors.As(err, &busy); _, err = s.Submit(sp) {
+		if time.Now().After(deadline) {
+			t.Fatal("the admission queue never drained")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+
+	events, _, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := make(map[string]bool)
+	for _, ev := range events {
+		if ev.Event == "submit" {
+			if submitted[ev.Job] {
+				t.Fatalf("manifest submits job ID %s twice", ev.Job)
+			}
+			submitted[ev.Job] = true
+		}
+	}
+	s2, err := Recover(dir, Config{MaxQueued: cfg.MaxQueued})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer s2.Kill()
+	seen := make(map[string]bool)
+	for _, st := range s2.Jobs() {
+		if seen[st.Job] {
+			t.Fatalf("Jobs() lists %s twice after recovery", st.Job)
+		}
+		seen[st.Job] = true
+	}
+	if len(seen) != len(submitted) {
+		t.Fatalf("recovered %d jobs, manifest submits %d", len(seen), len(submitted))
+	}
+}
+
 // TestRecoverQueuedJob re-admits a job that was durably submitted but
 // never activated (its activate event is missing from the manifest).
 func TestRecoverQueuedJob(t *testing.T) {
@@ -600,6 +732,35 @@ func TestRecoverQueuedJob(t *testing.T) {
 	}
 	if st.Job != "j2" {
 		t.Fatalf("next job ID %q, want j2", st.Job)
+	}
+}
+
+// TestRecoverBacklogBeyondQueue: a crash can leave one more job
+// unactivated than the admission queue holds (the one in the admitter's
+// hands); Recover must re-admit the whole backlog.
+func TestRecoverBacklogBeyondQueue(t *testing.T) {
+	dir := t.TempDir()
+	man, err := openManifest(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backlog := cap(newServer(Config{}, "").admitCh) + 1
+	for i := 1; i <= backlog; i++ {
+		if err := man.append(manifestEvent{Event: "submit", At: int64(i), Job: fmt.Sprintf("j%d", i),
+			Tenant: "a", Family: "prefix", Size: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := man.close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Recover(dir, Config{MaxQueued: backlog})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer s.Kill()
+	if n := len(s.Jobs()); n != backlog {
+		t.Fatalf("recovered %d jobs, want %d", n, backlog)
 	}
 }
 

@@ -30,7 +30,7 @@ type Result struct {
 	Profile    []int
 	Provenance string
 	Hash       uint64
-	Hit        bool // served from the cache (including singleflight waits)
+	Hit        bool // served from the cache
 	Exact      bool // the entry was computed on this exact labeled dag
 }
 
@@ -38,7 +38,7 @@ type Result struct {
 type Stats struct {
 	Hits       uint64 // table hits
 	Misses     uint64 // lookups that ran the compute function
-	Shared     uint64 // lookups that waited on another caller's compute
+	Shared     uint64 // always 0: a lookup behind another's compute waits on the lock and hits; bench still reads it
 	Evictions  uint64 // entries dropped by the LRU bound
 	Collisions uint64 // hash hits rejected by the isomorphism guard
 	Analyses   uint64 // compute invocations (== Misses when none fail)
@@ -47,34 +47,26 @@ type Stats struct {
 }
 
 // Lookups is the total number of GetOrCompute calls accounted so far.
-func (s Stats) Lookups() uint64 { return s.Hits + s.Misses + s.Shared + s.Collisions }
-
-// HitRate is the fraction of lookups served without running an
-// analysis (table hits plus singleflight waits).
-func (s Stats) HitRate() float64 {
-	l := s.Lookups()
-	if l == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Shared) / float64(l)
-}
+func (s Stats) Lookups() uint64 { return s.Hits + s.Misses + s.Collisions }
 
 // Options configures a Cache.  Zero values pick the defaults.
 type Options struct {
-	Capacity int // total entries across all shards (default 256)
-	Shards   int // power of two recommended (default 8)
+	Capacity int // entries (default 256)
 }
 
-// Cache is a bounded, sharded LRU keyed by canonical dag hash, with
-// per-hash singleflight so concurrent submissions of the same shape
-// analyze once.
+// Cache is a bounded LRU keyed by canonical dag hash.  One mutex guards
+// the table, and a miss runs its analysis under it, so concurrent
+// lookups of one shape analyze once: the later ones wait on the lock
+// and hit.  The counters are atomic, so Stats never waits behind an
+// analysis.
 type Cache struct {
-	shards      []*cacheShard
-	capPerShard int
+	mu       sync.Mutex
+	capacity int
+	entries  map[uint64]*list.Element // hash -> element holding *lruItem
+	lru      list.List                // front = most recently used
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
-	shared     atomic.Uint64
 	evictions  atomic.Uint64
 	collisions atomic.Uint64
 	analyses   atomic.Uint64
@@ -82,22 +74,9 @@ type Cache struct {
 	warmNanos  atomic.Uint64
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[uint64]*list.Element // hash -> element holding *lruItem
-	lru     list.List                // front = most recently used
-	flights map[uint64]*flight
-}
-
 type lruItem struct {
 	hash  uint64
 	entry *Entry
-}
-
-type flight struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
 }
 
 // New builds a cache.
@@ -105,23 +84,7 @@ func New(opts Options) *Cache {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 256
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 8
-	}
-	if opts.Shards > opts.Capacity {
-		opts.Shards = opts.Capacity
-	}
-	c := &Cache{
-		shards:      make([]*cacheShard, opts.Shards),
-		capPerShard: (opts.Capacity + opts.Shards - 1) / opts.Shards,
-	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			entries: make(map[uint64]*list.Element),
-			flights: make(map[uint64]*flight),
-		}
-	}
-	return c
+	return &Cache{capacity: opts.Capacity, entries: make(map[uint64]*list.Element)}
 }
 
 // Stats snapshots the counters.
@@ -129,7 +92,6 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:       c.hits.Load(),
 		Misses:     c.misses.Load(),
-		Shared:     c.shared.Load(),
 		Evictions:  c.evictions.Load(),
 		Collisions: c.collisions.Load(),
 		Analyses:   c.analyses.Load(),
@@ -140,17 +102,9 @@ func (c *Cache) Stats() Stats {
 
 // Len reports the number of resident entries.
 func (c *Cache) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-func (c *Cache) shard(h uint64) *cacheShard {
-	return c.shards[h%uint64(len(c.shards))]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // GetOrCompute canonicalizes g and serves the cached analysis for its
@@ -169,66 +123,26 @@ func (c *Cache) GetOrCompute(g *dag.Dag, class string, compute func() ([]dag.Nod
 // getOrCompute is the hash-explicit core, split out so tests can force
 // hash collisions against the isomorphism guard.
 func (c *Cache) getOrCompute(start time.Time, g *dag.Dag, shape Shape, perm []dag.NodeID, h uint64, compute func() ([]dag.NodeID, string, error)) (Result, error) {
-	sh := c.shard(h)
-	sh.mu.Lock()
-	if el, ok := sh.entries[h]; ok {
-		it := el.Value.(*lruItem)
-		if it.entry.Shape.Equal(shape) {
-			sh.lru.MoveToFront(el)
-			e := it.entry
-			sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, resident := c.entries[h]
+	if resident {
+		if it := el.Value.(*lruItem); it.entry.Shape.Equal(shape) {
+			c.lru.MoveToFront(el)
 			c.hits.Add(1)
-			res := c.translate(g, perm, h, e)
+			res := c.translate(g, perm, h, it.entry)
 			c.warmNanos.Add(uint64(time.Since(start)))
 			return res, nil
 		}
 		// Same hash, different canonical edge set: a true FNV
 		// collision.  Never serve it; analyze without caching so the
 		// resident entry keeps its slot.
-		sh.mu.Unlock()
 		c.collisions.Add(1)
-		return c.computeUncached(g, compute)
 	}
-	if f, ok := sh.flights[h]; ok {
-		sh.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return Result{}, f.err
-		}
-		if !f.entry.Shape.Equal(shape) {
-			c.collisions.Add(1)
-			return c.computeUncached(g, compute)
-		}
-		c.shared.Add(1)
-		res := c.translate(g, perm, h, f.entry)
-		res.Hit = true
-		c.warmNanos.Add(uint64(time.Since(start)))
-		return res, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	sh.flights[h] = f
-	sh.mu.Unlock()
-
 	entry, order, err := c.runCompute(g, shape, perm, compute)
-	sh.mu.Lock()
-	delete(sh.flights, h)
-	if err == nil {
-		el := sh.lru.PushFront(&lruItem{hash: h, entry: entry})
-		sh.entries[h] = el
-		for sh.lru.Len() > c.capPerShard {
-			old := sh.lru.Back()
-			sh.lru.Remove(old)
-			delete(sh.entries, old.Value.(*lruItem).hash)
-			c.evictions.Add(1)
-		}
-	}
-	sh.mu.Unlock()
-	f.entry, f.err = entry, err
-	close(f.done)
 	if err != nil {
 		return Result{}, err
 	}
-	c.misses.Add(1)
 	res := Result{
 		Order:      order,
 		Profile:    entry.Profile,
@@ -236,6 +150,17 @@ func (c *Cache) getOrCompute(start time.Time, g *dag.Dag, shape Shape, perm []da
 		Hash:       h,
 		Exact:      true,
 	}
+	if resident {
+		return res, nil
+	}
+	c.entries[h] = c.lru.PushFront(&lruItem{hash: h, entry: entry})
+	for c.lru.Len() > c.capacity {
+		old := c.lru.Back()
+		c.lru.Remove(old)
+		delete(c.entries, old.Value.(*lruItem).hash)
+		c.evictions.Add(1)
+	}
+	c.misses.Add(1)
 	c.coldNanos.Add(uint64(time.Since(start)))
 	return res, nil
 }
@@ -261,19 +186,6 @@ func (c *Cache) runCompute(g *dag.Dag, shape Shape, perm []dag.NodeID, compute f
 		Profile:    profile,
 		Provenance: prov,
 	}, order, nil
-}
-
-func (c *Cache) computeUncached(g *dag.Dag, compute func() ([]dag.NodeID, string, error)) (Result, error) {
-	c.analyses.Add(1)
-	order, prov, err := compute()
-	if err != nil {
-		return Result{}, err
-	}
-	profile, err := sched.Profile(g, order)
-	if err != nil {
-		return Result{}, fmt.Errorf("schedcache: computed order is not a legal schedule: %w", err)
-	}
-	return Result{Order: order, Profile: profile, Provenance: prov, Exact: true}, nil
 }
 
 // translate maps an entry's canonical order into g's numbering:

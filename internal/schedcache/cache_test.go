@@ -29,7 +29,7 @@ func topoCompute(g *dag.Dag) func() ([]dag.NodeID, string, error) {
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
-	c := New(Options{Capacity: 8, Shards: 2})
+	c := New(Options{Capacity: 8})
 	g := chain(5)
 	res, err := c.GetOrCompute(g, "t", topoCompute(g))
 	if err != nil {
@@ -73,20 +73,19 @@ func TestCacheEvictionTable(t *testing.T) {
 	cases := []struct {
 		name      string
 		capacity  int
-		shards    int
 		shapes    int
 		passes    int
 		minEvict  uint64
 		wantAnaly uint64
 	}{
-		{name: "fits", capacity: 8, shards: 1, shapes: 6, passes: 3, minEvict: 0, wantAnaly: 6},
-		{name: "overflow-single-shard", capacity: 4, shards: 1, shapes: 9, passes: 1, minEvict: 5, wantAnaly: 9},
-		{name: "overflow-rescan", capacity: 3, shards: 1, shapes: 5, passes: 2, minEvict: 2, wantAnaly: 6},
-		{name: "sharded-bound", capacity: 8, shards: 4, shapes: 32, passes: 1, minEvict: 24, wantAnaly: 32},
+		{name: "fits", capacity: 8, shapes: 6, passes: 3, minEvict: 0, wantAnaly: 6},
+		{name: "overflow", capacity: 4, shapes: 9, passes: 1, minEvict: 5, wantAnaly: 9},
+		{name: "overflow-rescan", capacity: 3, shapes: 5, passes: 2, minEvict: 2, wantAnaly: 6},
+		{name: "overflow-wide", capacity: 8, shapes: 32, passes: 1, minEvict: 24, wantAnaly: 32},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(Options{Capacity: tc.capacity, Shards: tc.shards})
+			c := New(Options{Capacity: tc.capacity})
 			for p := 0; p < tc.passes; p++ {
 				for s := 0; s < tc.shapes; s++ {
 					g := chain(2 + s)
@@ -113,7 +112,7 @@ func TestCacheEvictionTable(t *testing.T) {
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	c := New(Options{Capacity: 2, Shards: 1})
+	c := New(Options{Capacity: 2})
 	a, b, d := chain(2), chain(3), chain(4)
 	mustGet := func(g *dag.Dag) Result {
 		t.Helper()
@@ -138,8 +137,10 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 }
 
+// TestSingleflightOneAnalysisPerShape: concurrent lookups of one shape
+// wait on the cache lock behind the first caller's analysis and hit.
 func TestSingleflightOneAnalysisPerShape(t *testing.T) {
-	c := New(Options{Capacity: 64, Shards: 4})
+	c := New(Options{Capacity: 64})
 	const (
 		shapes     = 6
 		goroutines = 8
@@ -187,7 +188,7 @@ func TestSingleflightOneAnalysisPerShape(t *testing.T) {
 }
 
 func TestCacheConcurrentMixedShapes(t *testing.T) {
-	c := New(Options{Capacity: 8, Shards: 4})
+	c := New(Options{Capacity: 8})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -219,8 +220,43 @@ func TestCacheConcurrentMixedShapes(t *testing.T) {
 	}
 }
 
+// TestCacheStatsDuringCompute: the analysis runs under the cache lock,
+// but the counters are atomic, so Stats answers while it is in flight.
+func TestCacheStatsDuringCompute(t *testing.T) {
+	c := New(Options{Capacity: 8})
+	g := chain(4)
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.GetOrCompute(g, "t", func() ([]dag.NodeID, string, error) {
+			close(entered)
+			<-release
+			return g.TopoOrder(), "topo", nil
+		})
+		done <- err
+	}()
+	<-entered
+	got := make(chan Stats, 1)
+	go func() { got <- c.Stats() }()
+	select {
+	case st := <-got:
+		if st.Analyses != 1 || st.Misses != 0 {
+			t.Errorf("stats mid-compute: %+v", st)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stats blocked behind a running analysis")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("stats after compute: %+v", st)
+	}
+}
+
 func TestCacheCollisionGuard(t *testing.T) {
-	c := New(Options{Capacity: 8, Shards: 1})
+	c := New(Options{Capacity: 8})
 	g1, g2 := chain(4), chain(5)
 	s1, p1 := Canonicalize(g1)
 	s2, p2 := Canonicalize(g2)
@@ -260,7 +296,7 @@ func TestCacheCollisionGuard(t *testing.T) {
 }
 
 func TestCacheComputeErrorNotCached(t *testing.T) {
-	c := New(Options{Capacity: 8, Shards: 1})
+	c := New(Options{Capacity: 8})
 	g := chain(3)
 	boom := errors.New("boom")
 	if _, err := c.GetOrCompute(g, "t", func() ([]dag.NodeID, string, error) { return nil, "", boom }); !errors.Is(err, boom) {
@@ -293,7 +329,7 @@ func TestCacheIsomorphicHitTranslates(t *testing.T) {
 	_, perm := Canonicalize(g)
 	twin := relabelCanonical(g, perm)
 
-	c := New(Options{Capacity: 8, Shards: 1})
+	c := New(Options{Capacity: 8})
 	cold, err := c.GetOrCompute(g, "t", topoCompute(g))
 	if err != nil {
 		t.Fatal(err)
