@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRelaxedGrant$$' -fuzztime 30s ./internal/relaxed/
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalHash$$' -fuzztime 30s ./internal/schedcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/icserver/
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxNewEligible$$' -fuzztime 30s ./internal/heur/
 
 figures:
 	$(GO) run ./cmd/icsched figures figures/

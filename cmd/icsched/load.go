@@ -63,10 +63,11 @@ func cmdLoad(args []string) error {
 	} else {
 		fmt.Printf("oracle: skipped (%d nodes > %d); using MAX-NEW-ELIGIBLE\n", g.NumNodes(), opt.MaxNodes)
 	}
-	order, err := heur.RunOrder(g, heur.MaxNewEligible())
+	order, tie, err := heur.BestMaxNewEligible(g)
 	if err != nil {
 		return err
 	}
+	fmt.Printf("MAX-NEW-ELIGIBLE kept ties by %s:\n", tie)
 	data, err := dagio.MarshalSchedule(g, order)
 	if err != nil {
 		return err

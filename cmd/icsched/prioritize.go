@@ -35,8 +35,10 @@ func cmdPrioritize(args []string) error {
 
 // prioritizedOrder picks the best available schedule: the exact oracle's
 // IC-optimal schedule when the dag is small enough and admits one,
-// otherwise the MAX-NEW-ELIGIBLE heuristic.
+// otherwise the job service's raw-dag analyzer, MAX-NEW-ELIGIBLE under
+// its better tie-break (heur.BestMaxNewEligible).
 func prioritizedOrder(g *dag.Dag) ([]dag.NodeID, string, error) {
+	why := "dag exceeds exact-oracle size"
 	if g.NumNodes() <= opt.MaxNodes {
 		l, err := opt.Analyze(g)
 		if err != nil {
@@ -45,15 +47,11 @@ func prioritizedOrder(g *dag.Dag) ([]dag.NodeID, string, error) {
 		if order, ok := l.OptimalSchedule(); ok {
 			return order, "exact oracle (IC-optimal)", nil
 		}
-		order, err := heur.RunOrder(g, heur.MaxNewEligible())
-		if err != nil {
-			return nil, "", err
-		}
-		return order, "MAX-NEW-ELIGIBLE (no IC-optimal schedule exists)", nil
+		why = "no IC-optimal schedule exists"
 	}
-	order, err := heur.RunOrder(g, heur.MaxNewEligible())
+	order, tie, err := heur.BestMaxNewEligible(g)
 	if err != nil {
 		return nil, "", err
 	}
-	return order, "MAX-NEW-ELIGIBLE (dag exceeds exact-oracle size)", nil
+	return order, fmt.Sprintf("MAX-NEW-ELIGIBLE, ties by %s (%s)", tie, why), nil
 }

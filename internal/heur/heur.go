@@ -191,56 +191,199 @@ func (heightPolicy) Start(g *dag.Dag) Instance {
 }
 
 // MaxNewEligible greedily allocates the node whose execution would render
-// the most children newly ELIGIBLE right now.  This is the strongest
-// single-step lookahead heuristic of the comparison set; unlike the
-// others its scores change as the execution proceeds, so it rescans its
-// pool on every Next.
-func MaxNewEligible() Policy { return maxNewPolicy{} }
+// the most children newly ELIGIBLE right now, ties by smaller ID.  This
+// is the strongest single-step lookahead heuristic of the comparison set
+// (the one in Standard).
+func MaxNewEligible() Policy { return MaxNewEligibleBy(TieByID) }
 
-type maxNewPolicy struct{}
+// TieBreak names how MAX-NEW-ELIGIBLE orders nodes of equal score.
+type TieBreak string
 
-func (maxNewPolicy) Name() string { return "MAX-NEW-ELIGIBLE" }
+const (
+	// TieByID allocates the smaller node ID first: on a grid numbered
+	// row by row the run walks rows.
+	TieByID TieBreak = "id"
+	// TieByOffer allocates the node offered earliest first: on a grid the
+	// run walks anti-diagonals, the IC-optimal wavefront.
+	TieByOffer TieBreak = "offer"
+)
 
-func (maxNewPolicy) Start(g *dag.Dag) Instance {
-	remaining := make([]int, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		remaining[v] = g.InDegree(dag.NodeID(v))
+// MaxNewEligibleBy is MAX-NEW-ELIGIBLE under the given tie-break; any
+// value other than TieByOffer breaks ties by ID.
+func MaxNewEligibleBy(tie TieBreak) Policy { return maxNewPolicy{byOffer: tie == TieByOffer} }
+
+type maxNewPolicy struct{ byOffer bool }
+
+func (p maxNewPolicy) Name() string {
+	if p.byOffer {
+		return "MAX-NEW-ELIGIBLE/OFFER"
 	}
-	return &maxNewInstance{g: g, remaining: remaining}
+	return "MAX-NEW-ELIGIBLE"
 }
 
+// Start counts every node's parents and credits each single-parent
+// child to its parent's score: O(n + m).
+func (p maxNewPolicy) Start(g *dag.Dag) Instance {
+	n := g.NumNodes()
+	m := &maxNewInstance{g: g, byOffer: p.byOffer,
+		remaining: make([]int32, n), score: make([]int32, n),
+		key: make([]int32, n), state: make([]uint8, n), heap: make([]maxNewEntry, 0, n)}
+	for v := range m.remaining {
+		parents := g.Parents(dag.NodeID(v))
+		m.remaining[v] = int32(len(parents))
+		if len(parents) == 1 {
+			m.score[parents[0]]++
+		}
+	}
+	return m
+}
+
+// maxNewInstance keeps every score incrementally.  score(u) counts u's
+// children whose only unexecuted parent is u, and it only ever rises: by
+// one for c's last unexecuted parent when remaining(c) drops to 1 (found
+// once per c, in O(indeg c)), and an executed node leaves the pool.  The
+// pool is a max-heap on (score, -key) with lazy deletion: a rise pushes
+// a fresh entry, and an entry whose score is no longer its node's is
+// skipped when it surfaces.  A run costs O((n + m) log n).
 type maxNewInstance struct {
 	g         *dag.Dag
-	remaining []int // unexecuted parents per node, maintained on Next
-	pool      []dag.NodeID
+	byOffer   bool
+	remaining []int32 // unexecuted parents per node, maintained on Next
+	score     []int32
+	key       []int32 // tie key of an offered node: its ID or offer sequence
+	state     []uint8 // maxNewUnoffered, maxNewPooled or maxNewTaken
+	offers    int32
+	heap      []maxNewEntry
 }
 
-func (m *maxNewInstance) Offer(nodes []dag.NodeID) { m.pool = append(m.pool, nodes...) }
+const (
+	maxNewUnoffered = iota
+	maxNewPooled
+	maxNewTaken
+)
+
+type maxNewEntry struct{ score, key, v int32 }
+
+// before orders the heap: higher score first, then the smaller tie key.
+func (a maxNewEntry) before(b maxNewEntry) bool {
+	return a.score > b.score || (a.score == b.score && a.key < b.key)
+}
+
+func (m *maxNewInstance) Offer(nodes []dag.NodeID) {
+	for _, v := range nodes {
+		m.state[v] = maxNewPooled
+		if m.byOffer {
+			m.key[v] = m.offers
+			m.offers++
+		} else {
+			m.key[v] = v
+		}
+		m.push(v)
+	}
+}
 
 func (m *maxNewInstance) Next() (dag.NodeID, bool) {
-	if len(m.pool) == 0 {
-		return 0, false
-	}
-	best := 0
-	bestScore := -1
-	for i, v := range m.pool {
-		score := 0
-		for _, c := range m.g.Children(v) {
-			if m.remaining[c] == 1 {
-				score++
+	for len(m.heap) > 0 {
+		e := m.pop()
+		if m.state[e.v] != maxNewPooled || e.score != m.score[e.v] {
+			continue // taken already, or superseded by a higher score
+		}
+		m.state[e.v] = maxNewTaken
+		for _, c := range m.g.Children(e.v) {
+			if m.remaining[c]--; m.remaining[c] == 1 {
+				m.raiseLastParent(c)
 			}
 		}
-		if score > bestScore || (score == bestScore && v < m.pool[best]) {
-			best, bestScore = i, score
+		return e.v, true
+	}
+	return 0, false
+}
+
+// raiseLastParent credits c to its one parent not yet taken.
+func (m *maxNewInstance) raiseLastParent(c dag.NodeID) {
+	for _, p := range m.g.Parents(c) {
+		if m.state[p] != maxNewTaken {
+			m.score[p]++
+			if m.state[p] == maxNewPooled {
+				m.push(p)
+			}
+			return
 		}
 	}
-	v := m.pool[best]
-	m.pool[best] = m.pool[len(m.pool)-1]
-	m.pool = m.pool[:len(m.pool)-1]
-	for _, c := range m.g.Children(v) {
-		m.remaining[c]--
+}
+
+func (m *maxNewInstance) push(v dag.NodeID) {
+	m.heap = append(m.heap, maxNewEntry{m.score[v], m.key[v], v})
+	h := m.heap
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
 	}
-	return v, true
+}
+
+func (m *maxNewInstance) pop() maxNewEntry {
+	h := m.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		best, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l].before(h[best]) {
+			best = l
+		}
+		if r < len(h) && h[r].before(h[best]) {
+			best = r
+		}
+		if best == i {
+			break
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
+	m.heap = h
+	return top
+}
+
+// BestMaxNewEligible is the raw-dag analyzer: it runs MAX-NEW-ELIGIBLE
+// under both tie-breaks and keeps the offer-order run only when its
+// eligibility profile dominates the ID order's (at least as many
+// ELIGIBLE nodes at every step, more at one) or, when neither profile
+// dominates, when its area is larger.  A dominating profile has the
+// larger area, so the rule is one comparison of areas; a tie keeps the
+// ID order, MaxNewEligible's own.
+func BestMaxNewEligible(g *dag.Dag) ([]dag.NodeID, TieBreak, error) {
+	byID, idArea, err := areaRun(g, TieByID)
+	if err != nil {
+		return nil, "", err
+	}
+	byOffer, offerArea, err := areaRun(g, TieByOffer)
+	if err != nil {
+		return nil, "", err
+	}
+	if offerArea > idArea {
+		return byOffer, TieByOffer, nil
+	}
+	return byID, TieByID, nil
+}
+
+// areaRun runs MAX-NEW-ELIGIBLE under tie and sums its eligibility
+// profile.
+func areaRun(g *dag.Dag, tie TieBreak) ([]dag.NodeID, int, error) {
+	order, err := RunOrder(g, MaxNewEligibleBy(tie))
+	if err != nil {
+		return nil, 0, err
+	}
+	prof, err := sched.Profile(g, order)
+	area := 0
+	for _, e := range prof {
+		area += e
+	}
+	return order, area, err
 }
 
 // scoredPool is the instance of a policy whose priority is a fixed score

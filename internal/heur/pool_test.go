@@ -105,7 +105,8 @@ func outDegrees(g *dag.Dag) []int {
 
 // scanOracles maps each fixed-score policy of heur.Standard to its old
 // implementation; the other four (FIFO, LIFO, RANDOM, MAX-NEW-ELIGIBLE)
-// never scanned by a fixed score and did not change.
+// never scanned by a fixed score (MAX-NEW-ELIGIBLE's rescan oracle is in
+// maxnew_test.go).
 var scanOracles = map[string]heur.Policy{
 	"MAX-OUTDEGREE": scanPolicy{"MAX-OUTDEGREE", outDegrees, true},
 	"MIN-DEPTH":     scanPolicy{"MIN-DEPTH", (*dag.Dag).Depths, false},

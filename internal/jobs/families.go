@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"fmt"
+	"strings"
 
 	"icsched/internal/butterfly"
 	"icsched/internal/dag"
@@ -80,61 +81,85 @@ func buildJob(sp Spec) (g *dag.Dag, nonsinks []dag.NodeID, err error) {
 // cacheClass partitions the schedule cache by analysis kind: two dags of
 // identical shape still need separate entries when different analyses
 // would order them (a family's IC-optimal completion vs the raw-payload
-// heuristic).
+// analyzer, MAX-NEW-ELIGIBLE under its better tie-break).
 func cacheClass(sp Spec) string {
 	if sp.Family != "" {
 		return fmt.Sprintf("family/%s/%d", sp.Family, sp.Size)
 	}
-	return "heur/max-new-eligible"
+	return "heur/max-new-eligible-best-tie-break"
 }
 
-// cacheProvenance labels how a cached order was derived.
-func cacheProvenance(sp Spec) string {
-	if sp.Family != "" {
+// maxNewProvenance prefixes the provenance of a raw payload's order; the
+// tie-break the analyzer kept follows it.
+const maxNewProvenance = "max-new-eligible/"
+
+// provenance labels how a cached order was derived: a family's
+// IC-optimal completion (tie "") or MAX-NEW-ELIGIBLE under tie.
+func provenance(tie heur.TieBreak) string {
+	if tie == "" {
 		return "ic-optimal"
 	}
-	return "max-new-eligible"
+	return maxNewProvenance + string(tie)
+}
+
+// tieOf reads the tie-break back out of a provenance ("" for a family's).
+func tieOf(prov string) heur.TieBreak {
+	if tie, ok := strings.CutPrefix(prov, maxNewProvenance); ok {
+		return heur.TieBreak(tie)
+	}
+	return ""
 }
 
 // recoverOrder re-derives a recovered job's allocation order.  It goes
 // through the cache (so recovering many same-shape jobs analyzes once),
-// but a job whose journal holds cursor records MUST get byte-for-byte
-// the order the journal was written against — analyzeJob's deterministic
-// output — so a non-exact (relabeled) cache hit falls back to a direct
-// recomputation rather than a translated order.
+// but a raw job keeps the MAX-NEW-ELIGIBLE tie-break its activate event
+// recorded, and a job whose journal holds cursor records MUST get
+// byte-for-byte the order the journal was written against — that
+// variant's deterministic output on this labeled dag.  So a cache entry
+// of the other tie-break, or a non-exact (relabeled) hit for a replay
+// job, falls back to a direct recomputation rather than a translated
+// order.
 func (s *Server) recoverOrder(j *Job) ([]dag.NodeID, error) {
 	res, err := s.lookupOrder(j)
 	if err != nil {
 		return nil, err
 	}
-	if j.replay && !res.Exact {
-		return analyzeJob(j.g, j.nonsinks)
+	if tieOf(res.Provenance) == j.tie && (res.Exact || !j.replay) {
+		return res.Order, nil
 	}
-	return res.Order, nil
+	if j.nonsinks != nil {
+		return sched.Complete(j.g, j.nonsinks), nil
+	}
+	order, err := heur.RunOrder(j.g, heur.MaxNewEligibleBy(j.tie))
+	if err != nil {
+		return nil, fmt.Errorf("jobs: analyze: %w", err)
+	}
+	return order, nil
 }
 
 // lookupOrder resolves a built job's allocation order through the
 // schedule cache, running analyzeJob on a miss.
 func (s *Server) lookupOrder(j *Job) (schedcache.Result, error) {
 	return s.cfg.Cache.GetOrCompute(j.g, cacheClass(j.spec), func() ([]dag.NodeID, string, error) {
-		order, err := analyzeJob(j.g, j.nonsinks)
-		return order, cacheProvenance(j.spec), err
+		order, tie, err := analyzeJob(j.g, j.nonsinks)
+		return order, provenance(tie), err
 	})
 }
 
 // analyzeJob is the admitter's analysis: compute the allocation order
 // the job's scheduler replays.  Named families complete their IC-optimal
-// nonsink prefix (the paper's schedule); raw dagio payloads get the
-// strongest online heuristic (MAX-NEW-ELIGIBLE) as their analysis.
-// Deterministic for a given Spec, so a recovered job re-derives the
-// identical order its journal was written against.
-func analyzeJob(g *dag.Dag, nonsinks []dag.NodeID) ([]dag.NodeID, error) {
+// nonsink prefix (the paper's schedule, tie ""); raw dagio payloads get
+// heur.BestMaxNewEligible, the strongest online heuristic under the
+// tie-break (ID or offer order) whose eligibility profile is better, and
+// the tie-break it kept.  Deterministic for a given Spec, so a recovered
+// job re-derives the identical order its journal was written against.
+func analyzeJob(g *dag.Dag, nonsinks []dag.NodeID) ([]dag.NodeID, heur.TieBreak, error) {
 	if nonsinks != nil {
-		return sched.Complete(g, nonsinks), nil
+		return sched.Complete(g, nonsinks), "", nil
 	}
-	order, err := heur.RunOrder(g, heur.MaxNewEligible())
+	order, tie, err := heur.BestMaxNewEligible(g)
 	if err != nil {
-		return nil, fmt.Errorf("jobs: analyze: %w", err)
+		return nil, "", fmt.Errorf("jobs: analyze: %w", err)
 	}
-	return order, nil
+	return order, tie, nil
 }

@@ -55,7 +55,9 @@ type Spec struct {
 	Family string `json:"family,omitempty"`
 	Size   int    `json:"size,omitempty"`
 	// Dag is a dagio JSON payload ({"nodes": n, "arcs": [[u,v],...]});
-	// such jobs are scheduled by the MAX-NEW-ELIGIBLE analysis.
+	// such jobs are ordered by MAX-NEW-ELIGIBLE under whichever score
+	// tie-break, node ID or offer order, gives the better eligibility
+	// profile (heur.BestMaxNewEligible).
 	Dag json.RawMessage `json:"dag,omitempty"`
 }
 
@@ -77,8 +79,9 @@ type Job struct {
 	g        *dag.Dag
 	nonsinks []dag.NodeID // family jobs: the IC-optimal nonsink prefix
 	order    []dag.NodeID
-	cacheHit bool // analysis served from the schedule cache
-	replay   bool // steady-state replay: cursor-journaled cached order
+	tie      heur.TieBreak // raw jobs: the MAX-NEW-ELIGIBLE tie-break of order
+	cacheHit bool          // analysis served from the schedule cache
+	replay   bool          // steady-state replay: cursor-journaled cached order
 
 	srv *icserver.Server // non-nil only while active
 
@@ -287,6 +290,10 @@ func Recover(dir string, cfg Config) (*Server, error) {
 				j.activatedAt = time.Unix(0, ev.At)
 				j.state = StateActive // provisional; srv attached below
 				j.replay = ev.Replay  // journal format: cursor vs per-task grants
+				j.tie = ev.TieBreak
+				if j.tie == "" && j.spec.Family == "" {
+					j.tie = heur.TieByID // written before the analyzer had two tie-breaks
+				}
 				activated = append(activated, j)
 			}
 		case "finish":
@@ -415,7 +422,7 @@ func (s *Server) activate(j *Job, res schedcache.Result, err error) {
 		s.mu.Unlock()
 		return
 	}
-	j.order, j.cacheHit = res.Order, res.Hit
+	j.order, j.tie, j.cacheHit = res.Order, tieOf(res.Provenance), res.Hit
 	// Replay requires an exact-labeling entry: identity translation means
 	// the cached order is byte-for-byte what analyzeJob(g) re-derives, so
 	// a recovered incarnation folds the cursor journal against the very
@@ -443,7 +450,7 @@ func (s *Server) activate(j *Job, res schedcache.Result, err error) {
 	// No request waits on the admitter: a failed write only wounds
 	// the service (s.manErr), which refuses every later request.
 	_ = s.journalLocked(manifestEvent{Event: "activate", At: j.activatedAt.UnixNano(),
-		Job: j.id, Replay: j.replay})
+		Job: j.id, Replay: j.replay, TieBreak: j.tie})
 	t := s.tenantFor(j.spec.Tenant, j.spec.Weight)
 	if len(t.active) == 0 {
 		// A tenant rejoining after idling must not cash in the pass it
@@ -559,7 +566,9 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	t := s.tenantFor(sp.Tenant, sp.Weight)
-	if t.queued+len(t.active) >= s.cfg.MaxQueued {
+	// Only the admitter drains admitCh while s.mu is held, so room seen
+	// here is still there at the send below: a refusal journals nothing.
+	if t.queued+len(t.active) >= s.cfg.MaxQueued || len(s.admitCh) == cap(s.admitCh) {
 		s.m.backpressure.Inc()
 		return JobStatus{}, BackpressureError{sp.Tenant}
 	}
@@ -569,22 +578,13 @@ func (s *Server) Submit(sp Spec) (JobStatus, error) {
 		state:       StateQueued,
 		submittedAt: s.now(),
 	}
-	s.nextID++ // consumed even when refused below: the manifest names it
+	s.nextID++
 	if err := s.journalLocked(manifestEvent{Event: "submit", At: j.submittedAt.UnixNano(),
 		Job: j.id, Tenant: sp.Tenant, Weight: sp.Weight,
 		Family: sp.Family, Size: sp.Size, Dag: sp.Dag}); err != nil {
 		return JobStatus{}, err
 	}
-	select {
-	case s.admitCh <- j:
-	default:
-		s.m.backpressure.Inc()
-		if err := s.journalLocked(manifestEvent{Event: "finish", At: s.now().UnixNano(),
-			Job: j.id, Error: "jobs: admission queue full"}); err != nil {
-			return JobStatus{}, err
-		}
-		return JobStatus{}, BackpressureError{sp.Tenant}
-	}
+	s.admitCh <- j
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	t.queued++
@@ -757,9 +757,11 @@ type JobStatus struct {
 	Epoch       uint64 `json:"epoch,omitempty"`
 	// CacheHit: analysis came from the schedule cache.  Replay: the job
 	// executes in steady-state replay mode (cursor-journaled cached
-	// order).
-	CacheHit bool `json:"cacheHit,omitempty"`
-	Replay   bool `json:"replay,omitempty"`
+	// order).  TieBreak: a raw job's MAX-NEW-ELIGIBLE tie-break, "id" or
+	// "offer".
+	CacheHit bool   `json:"cacheHit,omitempty"`
+	Replay   bool   `json:"replay,omitempty"`
+	TieBreak string `json:"tieBreak,omitempty"`
 
 	SubmittedMillis int64   `json:"submittedMillis"`
 	FinishedMillis  int64   `json:"finishedMillis,omitempty"`
@@ -771,7 +773,7 @@ func (s *Server) jobStatusLocked(j *Job) JobStatus {
 	st := JobStatus{
 		Job: j.id, Tenant: j.spec.Tenant, State: j.state,
 		Family: j.spec.Family, Size: j.spec.Size,
-		CacheHit: j.cacheHit, Replay: j.replay,
+		CacheHit: j.cacheHit, Replay: j.replay, TieBreak: string(j.tie),
 		SubmittedMillis: j.submittedAt.UnixMilli(),
 		Error:           j.errMsg,
 	}

@@ -55,7 +55,7 @@ func refVals(t *testing.T, sp Spec) (*dag.Dag, []uint64) {
 	if err != nil {
 		t.Fatalf("buildJob: %v", err)
 	}
-	order, err := analyzeJob(g, nonsinks)
+	order, _, err := analyzeJob(g, nonsinks)
 	if err != nil {
 		t.Fatalf("analyzeJob: %v", err)
 	}
@@ -596,9 +596,10 @@ func TestRecoverFinishedJobWithoutJournal(t *testing.T) {
 }
 
 // TestQueueFullRefusalKeepsJobIDs fills the admission queue while the
-// admitter is held in an activation: the queue-full refusal journals
-// its job ID, so the next accepted submission must get a fresh one —
-// in the manifest and in Jobs() after a recovery.
+// admitter is held in an activation: every job ID is submitted once in
+// the manifest and listed once in Jobs() after a recovery, and a refused
+// submission, which the client heard as a 429, does not come back as a
+// failed job.
 func TestQueueFullRefusalKeepsJobIDs(t *testing.T) {
 	var armed atomic.Bool
 	entered := make(chan struct{}, 1)
@@ -691,6 +692,9 @@ func TestQueueFullRefusalKeepsJobIDs(t *testing.T) {
 	for _, st := range s2.Jobs() {
 		if seen[st.Job] {
 			t.Fatalf("Jobs() lists %s twice after recovery", st.Job)
+		}
+		if strings.Contains(st.Error, "admission queue full") {
+			t.Fatalf("refused submission recovered as %+v", st)
 		}
 		seen[st.Job] = true
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"icsched/internal/heur"
 )
 
 // manifestName is the job-lifecycle journal inside a jobs directory; the
@@ -35,6 +37,11 @@ type manifestEvent struct {
 	// state at activation, so recovery must read it back rather than
 	// re-derive it — the journal's record format already committed to it.
 	Replay bool `json:"replay,omitempty"`
+	// Activate events of raw jobs record the MAX-NEW-ELIGIBLE tie-break
+	// of the job's order, which a replay journal was written against;
+	// an event without one (written before the analyzer had two) means
+	// ties by ID.
+	TieBreak heur.TieBreak `json:"tieBreak,omitempty"`
 	// Finish events carry the terminal accounting.
 	Nodes       int    `json:"nodes,omitempty"`
 	Completed   int    `json:"completed,omitempty"`
