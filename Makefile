@@ -70,16 +70,19 @@ examples:
 difftest:
 	$(GO) run ./cmd/icsched difftest -seed 1 -n 200
 
+# -fuzzminimizetime 1s on the targets whose 30 s smoke otherwise spends
+# whole seconds at 0 execs/s minimizing new inputs (TESTING.md).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/dag/
 	$(GO) test -run '^$$' -fuzz '^FuzzInstance$$' -fuzztime 30s ./internal/difftest/
-	$(GO) test -run '^$$' -fuzz '^FuzzServerProtocol$$' -fuzztime 30s ./internal/difftest/
+	$(GO) test -run '^$$' -fuzz '^FuzzServerProtocol$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalJSON$$' -fuzztime 30s ./internal/dagio/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecords$$' -fuzztime 30s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz '^FuzzRelaxedGrant$$' -fuzztime 30s ./internal/relaxed/
+	$(GO) test -run '^$$' -fuzz '^FuzzRelaxedGrant$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/relaxed/
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalHash$$' -fuzztime 30s ./internal/schedcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/icserver/
-	$(GO) test -run '^$$' -fuzz '^FuzzMaxNewEligible$$' -fuzztime 30s ./internal/heur/
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxNewEligible$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/heur/
+	$(GO) test -run '^$$' -fuzz '^FuzzStaticPool$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/heur/
 
 figures:
 	$(GO) run ./cmd/icsched figures figures/

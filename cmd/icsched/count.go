@@ -20,12 +20,9 @@ func cmdCount(args []string) error {
 	if err != nil {
 		return err
 	}
-	if g.NumNodes() > opt.MaxNodes {
-		return fmt.Errorf("count: %d nodes exceed the exact-oracle limit %d", g.NumNodes(), opt.MaxNodes)
-	}
 	l, err := opt.Analyze(g)
 	if err != nil {
-		return err
+		return fmt.Errorf("count: %d nodes: %w", g.NumNodes(), err)
 	}
 	total := l.CountSchedules()
 	optimal := l.CountOptimal()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -45,11 +46,13 @@ func cmdLoad(args []string) error {
 	}
 	fmt.Printf("loaded %s: %s (critical path %d)\n", args[0], g, g.CriticalPathLen())
 
-	if g.NumNodes() <= opt.MaxNodes {
-		l, err := opt.Analyze(g)
-		if err != nil {
-			return err
-		}
+	l, err := opt.Analyze(g)
+	switch {
+	case errors.Is(err, opt.ErrBudget):
+		fmt.Printf("oracle: skipped (%v); using MAX-NEW-ELIGIBLE\n", err)
+	case err != nil:
+		return err
+	default:
 		if order, ok := l.OptimalSchedule(); ok {
 			fmt.Println("oracle: the dag ADMITS an IC-optimal schedule:")
 			data, err := dagio.MarshalSchedule(g, order)
@@ -60,8 +63,6 @@ func cmdLoad(args []string) error {
 			return nil
 		}
 		fmt.Println("oracle: the dag admits NO IC-optimal schedule; falling back to MAX-NEW-ELIGIBLE")
-	} else {
-		fmt.Printf("oracle: skipped (%d nodes > %d); using MAX-NEW-ELIGIBLE\n", g.NumNodes(), opt.MaxNodes)
 	}
 	order, tie, err := heur.BestMaxNewEligible(g)
 	if err != nil {

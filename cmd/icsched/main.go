@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -154,12 +155,11 @@ func cmdVerify(args []string) error {
 		return fmt.Errorf("schedule invalid: %w", err)
 	}
 	fmt.Println("schedule: legal")
-	if g.NumNodes() > opt.MaxNodes {
-		fmt.Printf("oracle: skipped (%d nodes exceed the %d-node exact-oracle limit)\n",
-			g.NumNodes(), opt.MaxNodes)
+	l, err := opt.Analyze(g)
+	if errors.Is(err, opt.ErrBudget) {
+		fmt.Printf("oracle: skipped (%v)\n", err)
 		return nil
 	}
-	l, err := opt.Analyze(g)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"icsched/internal/opt"
 )
 
 func TestRunHelpAndFamilies(t *testing.T) {
@@ -109,6 +114,61 @@ func TestCountCommand(t *testing.T) {
 	// Too large for the oracle.
 	if err := run([]string{"count", "butterfly", "4"}); err == nil {
 		t.Fatal("oversized count accepted")
+	}
+}
+
+// captureRun runs the CLI with os.Stdout redirected and returns what it
+// printed.
+func captureRun(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- string(data)
+	}()
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	return <-out, runErr
+}
+
+// TestOracleBudgetFallback feeds a 36-node antichain — within the
+// oracle's node cap — to load and prioritize.  An unbounded lattice
+// walk would need C(36,18) ≈ 9.1·10⁹ ideals in its widest layer, and
+// layer 10 alone is C(36,10) ≈ 2.5·10⁸ entries × 16 B ≈ 4 GB; under the
+// default layer budget both commands fall back to MAX-NEW-ELIGIBLE
+// within a fraction of a second.  count takes a family, and W with 17
+// sources (35 nodes, a 1.25·10⁶-ideal layer) is its in-cap dag of the
+// same kind: it must fail with an error wrapping opt.ErrBudget.
+func TestOracleBudgetFallback(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "antichain.json")
+	if err := os.WriteFile(path, []byte(`{"nodes": 36, "arcs": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ cmd, want string }{
+		{"load", "using MAX-NEW-ELIGIBLE"},
+		{"prioritize", "order source: MAX-NEW-ELIGIBLE"},
+	} {
+		start := time.Now()
+		out, err := captureRun(t, c.cmd, path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.cmd, err)
+		}
+		if !strings.Contains(out, c.want) {
+			t.Fatalf("%s printed no MAX-NEW-ELIGIBLE fallback:\n%s", c.cmd, out)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Fatalf("%s took %v to fall back", c.cmd, d)
+		}
+	}
+	if _, err := captureRun(t, "count", "w", "17"); !errors.Is(err, opt.ErrBudget) {
+		t.Fatalf("count w 17: err = %v, want ErrBudget", err)
 	}
 }
 

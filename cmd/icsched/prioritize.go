@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 
 	"icsched/internal/dag"
@@ -38,16 +39,16 @@ func cmdPrioritize(args []string) error {
 // otherwise the job service's raw-dag analyzer, MAX-NEW-ELIGIBLE under
 // its better tie-break (heur.BestMaxNewEligible).
 func prioritizedOrder(g *dag.Dag) ([]dag.NodeID, string, error) {
-	why := "dag exceeds exact-oracle size"
-	if g.NumNodes() <= opt.MaxNodes {
-		l, err := opt.Analyze(g)
-		if err != nil {
-			return nil, "", err
-		}
+	why := "dag beyond the exact oracle's reach"
+	l, err := opt.Analyze(g)
+	switch {
+	case err == nil:
 		if order, ok := l.OptimalSchedule(); ok {
 			return order, "exact oracle (IC-optimal)", nil
 		}
 		why = "no IC-optimal schedule exists"
+	case !errors.Is(err, opt.ErrBudget):
+		return nil, "", err
 	}
 	order, tie, err := heur.BestMaxNewEligible(g)
 	if err != nil {

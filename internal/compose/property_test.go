@@ -1,6 +1,7 @@
 package compose_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,14 +77,14 @@ func TestTheorem21OnRandomLinearCompositions(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if g.NumNodes() > opt.MaxNodes {
-			return true // skip oversized samples
+		l, err := opt.Analyze(g)
+		if errors.Is(err, opt.ErrBudget) {
+			return true // skip samples beyond the oracle's reach
 		}
-		order, err := c.Schedule()
 		if err != nil {
 			return false
 		}
-		l, err := opt.Analyze(g)
+		order, err := c.Schedule()
 		if err != nil {
 			return false
 		}
@@ -129,14 +130,14 @@ func TestTheorem21OnRandomButterflyChains(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if g.NumNodes() > opt.MaxNodes {
+		l, err := opt.Analyze(g)
+		if errors.Is(err, opt.ErrBudget) {
 			return true
 		}
-		order, err := c.Schedule()
 		if err != nil {
 			return false
 		}
-		l, err := opt.Analyze(g)
+		order, err := c.Schedule()
 		if err != nil {
 			return false
 		}

@@ -80,17 +80,11 @@ const oracleBudget = 1 << 18
 // analyze runs the exact oracle on g, returning nil (no error) when g
 // is out of the oracle's reach and the checks should be skipped.
 func analyze(g *dag.Dag) (*opt.Lattice, error) {
-	if g.NumNodes() > opt.MaxNodes {
-		return nil, nil
-	}
-	l, err := opt.AnalyzeBudget(g, 0, oracleBudget)
+	l, err := opt.AnalyzeBudget(g, oracleBudget)
 	if errors.Is(err, opt.ErrBudget) {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
+	return l, err
 }
 
 func (cfg Config) withDefaults() Config {

@@ -3,6 +3,7 @@ package opt
 import (
 	"math/big"
 	"math/bits"
+	"slices"
 )
 
 // Schedule counting over the ideal lattice: CountSchedules counts all
@@ -12,67 +13,75 @@ import (
 // optimal" (uniform out-trees, ratio 1) down to 0 for the dags of §8
 // item 2 that admit none.
 //
-// Like Analyze, the counters are frontier-compressed: only one layer of
-// (ideal, eligibility, path-count) triples is live at a time, and each
-// ideal's ELIGIBLE mask is carried forward incrementally rather than
-// looked up in a retained lattice.
+// Both fold chain counts over sorted lattice layers, through the
+// predecessors S∖{v}, v maximal in S, that goodFilter tests: the
+// IC-optimal chains through the good sublattice Analyze keeps, all
+// chains through every ideal, which CountSchedules re-expands with
+// Analyze's expander under the lattice's budget.
 
 // CountSchedules returns the number of legal execution orders of the dag.
 func (l *Lattice) CountSchedules() *big.Int {
-	return l.countPaths(func(uint64, int) bool { return true })
+	ex := &expander{l: l}
+	cur := []entry{{0, l.srcElig}}
+	var buf [2][]uint64
+	return l.countChains(func(t int) []uint64 {
+		next, err := ex.expand(cur)
+		if err != nil {
+			panic(err) // Analyze expanded these very layers under the same budget
+		}
+		cur = next
+		masks := buf[t%2][:0]
+		for i := range next {
+			masks = append(masks, next[i].mask)
+		}
+		slices.Sort(masks)
+		buf[t%2] = masks
+		return masks
+	})
 }
 
 // CountOptimal returns the number of IC-optimal schedules of the dag
 // (zero when none exists).
 func (l *Lattice) CountOptimal() *big.Int {
-	return l.countPaths(func(elig uint64, size int) bool {
-		return bits.OnesCount64(elig) >= l.maxE[size]
-	})
+	return l.countChains(func(t int) []uint64 { return l.good[t] })
 }
 
-// pathState is the frontier record of one ideal during counting: its
-// ELIGIBLE mask and the number of kept chains ∅ ⊂ … reaching it.
-type pathState struct {
-	elig  uint64
-	count *big.Int
-}
-
-// countPaths counts monotone chains ∅ ⊂ … ⊂ full through the ideals
-// whose ELIGIBLE mask satisfies keep at every size.
-func (l *Lattice) countPaths(keep func(elig uint64, size int) bool) *big.Int {
-	n := l.n
-	if !keep(l.srcElig, 0) {
-		return big.NewInt(0)
-	}
-	counts := map[uint64]pathState{0: {l.srcElig, big.NewInt(1)}}
-	for t := 0; t < n; t++ {
-		next := make(map[uint64]pathState, len(counts))
-		for mask, st := range counts {
-			for e := st.elig; e != 0; e &= e - 1 {
-				v := bits.TrailingZeros64(e)
-				succ := mask | 1<<uint(v)
-				nelig := l.succElig(succ, st.elig, v)
-				if !keep(nelig, t+1) {
-					continue
+// countChains counts the chains ∅ ⊂ … ⊂ full through the sorted layers
+// layer(1), …, layer(n), each of which must stay intact until the next
+// is asked for.  A mask's count is the sum of its predecessors' counts.
+// Removing a fixed node v keeps the masks holding v in order, so the
+// lookups of predecessors without v walk the previous layer once, from
+// at[v] on.
+func (l *Lattice) countChains(layer func(t int) []uint64) *big.Int {
+	prev := []uint64{0}
+	counts, next := make([]big.Int, 1), []big.Int(nil)
+	counts[0].SetInt64(1)
+	for t := 1; t <= l.n; t++ {
+		masks := layer(t)
+		next = slices.Grow(next[:0], len(masks))[:len(masks)]
+		var at [64]int
+		for i, mask := range masks {
+			next[i].SetInt64(0)
+			for rest := mask; rest != 0; rest &= rest - 1 {
+				v := bits.TrailingZeros64(rest)
+				if l.childMask[v]&mask != 0 {
+					continue // v not maximal: removing it breaks the ideal
 				}
-				if acc, ok := next[succ]; ok {
-					acc.count.Add(acc.count, st.count)
-				} else {
-					next[succ] = pathState{nelig, new(big.Int).Set(st.count)}
+				pred := mask &^ (1 << uint(v))
+				j := at[v]
+				for j < len(prev) && prev[j] < pred {
+					j++
+				}
+				at[v] = j
+				if j < len(prev) && prev[j] == pred {
+					next[i].Add(&next[i], &counts[j])
 				}
 			}
 		}
-		counts = next
-		if len(counts) == 0 {
-			return big.NewInt(0)
-		}
+		prev, counts, next = masks, next, counts
 	}
-	full := uint64(0)
-	if n > 0 {
-		full = (uint64(1) << uint(n)) - 1
+	if len(counts) == 0 {
+		return new(big.Int)
 	}
-	if st, ok := counts[full]; ok {
-		return st.count
-	}
-	return big.NewInt(0)
+	return new(big.Int).Set(&counts[0])
 }

@@ -1,12 +1,14 @@
 package opt
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"icsched/internal/dag"
+	"icsched/internal/mesh"
 )
 
 func TestCountVee(t *testing.T) {
@@ -102,5 +104,65 @@ func TestCountEmptyDag(t *testing.T) {
 	}
 	if l.CountOptimal().Cmp(big.NewInt(1)) != 0 {
 		t.Fatal("the empty schedule is optimal")
+	}
+}
+
+// TestCountSchedulesUnderLatticeBudget checks that CountSchedules
+// re-expands under the budget its lattice was analyzed with: a budget
+// of exactly the widest layer counts as an unbounded one does, and one
+// entry less fails with ErrBudget.
+func TestCountSchedulesUnderLatticeBudget(t *testing.T) {
+	g := dag.RandomLayered(rand.New(rand.NewSource(3)), []int{5, 5}, 1)
+	var l *Lattice
+	widest := 1
+	for ; ; widest++ {
+		var err error
+		if l, err = AnalyzeBudget(g, widest); err == nil {
+			break
+		} else if !errors.Is(err, ErrBudget) {
+			t.Fatal(err)
+		}
+	}
+	if got, want := l.CountSchedules(), mustAnalyze(t, g).CountSchedules(); got.Cmp(want) != 0 {
+		t.Fatalf("count at budget %d = %v, want %v", widest, got, want)
+	}
+	l.budget = widest - 1
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, ErrBudget) {
+			t.Fatalf("count over budget: recovered %v, want ErrBudget", err)
+		}
+	}()
+	l.CountSchedules()
+}
+
+// countSink keeps the benchmarked counts live.
+var countSink *big.Int
+
+// BenchmarkCountSchedules times both counters on the oracle benchmark's
+// dags beyond the legacy cap and on a 32-node layered dag whose widest
+// lattice layer (925,214 ideals) is 88% of the default budget.
+func BenchmarkCountSchedules(b *testing.B) {
+	for _, bench := range []struct {
+		name string
+		g    *dag.Dag
+	}{
+		{"outmesh-28", mesh.OutMesh(7)},
+		{"layered-33", dag.RandomLayered(rand.New(rand.NewSource(2)), []int{3, 6, 6, 6, 6, 6}, 2)},
+		{"layered-32", dag.RandomLayered(rand.New(rand.NewSource(3)), []int{16, 16}, 2)},
+	} {
+		l, err := Analyze(bench.g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("all/"+bench.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				countSink = l.CountSchedules()
+			}
+		})
+		b.Run("optimal/"+bench.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				countSink = l.CountOptimal()
+			}
+		})
 	}
 }

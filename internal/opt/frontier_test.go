@@ -11,6 +11,12 @@ import (
 	"icsched/internal/mesh"
 )
 
+// AnalyzeWorkers is Analyze with an explicit worker count (≤ 1 runs the
+// sequential frontier scan), for the worker-invariance checks.
+func AnalyzeWorkers(g *dag.Dag, workers int) (*Lattice, error) {
+	return analyze(g, workers, defaultBudget)
+}
+
 // agreesWithLegacy checks every externally observable answer of the
 // frontier lattice against the retained-lattice legacy oracle on the
 // same dag: maxE profile, ideal count, admits, witness legality and
@@ -173,49 +179,6 @@ func TestAnalyzeBeyondLegacyLimit(t *testing.T) {
 			t.Fatalf("witness not optimal: opt=%v step=%d err=%v", opt, step, err)
 		}
 	}
-	// Decide mode must agree with the retained analysis.
-	d, err := Decide(g)
-	if err != nil {
-		t.Fatalf("Decide: %v", err)
-	}
-	if d.Admits != ok || d.NumIdeals != l.NumIdeals() {
-		t.Fatalf("Decide disagrees: admits=%v/%v ideals=%d/%d", d.Admits, ok, d.NumIdeals, l.NumIdeals())
-	}
-	for i := range d.MaxE {
-		if d.MaxE[i] != maxE[i] {
-			t.Fatalf("Decide.MaxE[%d] = %d, Analyze %d", i, d.MaxE[i], maxE[i])
-		}
-	}
-	if d.Admits {
-		if opt, step, err := l.IsOptimal(d.Witness); err != nil || !opt {
-			t.Fatalf("Decide witness not optimal: opt=%v step=%d err=%v", opt, step, err)
-		}
-	}
-}
-
-// TestDecideMatchesAnalyze cross-checks decision mode against full
-// analysis on small random dags.
-func TestDecideMatchesAnalyze(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 25; i++ {
-		g := dag.Random(rng, 1+rng.Intn(12), 0.1+0.4*rng.Float64())
-		l, err := Analyze(g)
-		if err != nil {
-			t.Fatalf("Analyze: %v", err)
-		}
-		d, err := DecideWorkers(g, 1+i%3)
-		if err != nil {
-			t.Fatalf("Decide: %v", err)
-		}
-		if d.Admits != l.Exists() {
-			t.Fatalf("dag %d: Decide.Admits = %v, Exists = %v", i, d.Admits, l.Exists())
-		}
-		if d.Admits {
-			if opt, step, err := l.IsOptimal(d.Witness); err != nil || !opt {
-				t.Fatalf("dag %d: Decide witness rejected: opt=%v step=%d err=%v", i, opt, step, err)
-			}
-		}
-	}
 }
 
 // TestAnalyzeBudget checks that a too-wide lattice fails with ErrBudget
@@ -224,13 +187,10 @@ func TestAnalyzeBudget(t *testing.T) {
 	// 2×8 layered antichain-ish dag: wide middle layers.
 	rng := rand.New(rand.NewSource(3))
 	g := dag.RandomLayered(rng, []int{8, 8}, 1)
-	if _, err := AnalyzeBudget(g, 0, 4); !errors.Is(err, ErrBudget) {
+	if _, err := AnalyzeBudget(g, 4); !errors.Is(err, ErrBudget) {
 		t.Fatalf("tiny budget: err = %v, want ErrBudget", err)
 	}
-	if _, err := DecideBudget(g, 0, 4); !errors.Is(err, ErrBudget) {
-		t.Fatalf("DecideBudget tiny budget: err = %v, want ErrBudget", err)
-	}
-	l, err := AnalyzeBudget(g, 0, 1<<24)
+	l, err := AnalyzeBudget(g, 1<<24)
 	if err != nil {
 		t.Fatalf("generous budget: %v", err)
 	}
@@ -278,17 +238,16 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// BenchmarkOracleAnalyze times the frontier oracle (parallel, workers=1,
-// decision mode) beside the legacy reference on the same dags; two of
+// BenchmarkOracleAnalyze times the frontier oracle (parallel and
+// workers=1) beside the legacy reference on the same dags; two of
 // them are beyond the legacy cap and run frontier-only.
 func BenchmarkOracleAnalyze(b *testing.B) {
-	layered24 := dag.RandomLayered(rand.New(rand.NewSource(1)), []int{4, 5, 5, 5, 5}, 3)
 	for _, bench := range []struct {
 		name string
 		g    *dag.Dag
 	}{
 		{"outmesh-21", mesh.OutMesh(6)},
-		{"layered-24", layered24},
+		{"layered-24", dag.RandomLayered(rand.New(rand.NewSource(1)), []int{4, 5, 5, 5, 5}, 3)},
 		{"outmesh-28", mesh.OutMesh(7)}, // beyond the legacy 26-node cap
 		{"layered-33", dag.RandomLayered(rand.New(rand.NewSource(2)), []int{3, 6, 6, 6, 6, 6}, 2)}, // ditto
 	} {
@@ -316,11 +275,4 @@ func BenchmarkOracleAnalyze(b *testing.B) {
 			})
 		}
 	}
-	b.Run("decide/layered-24", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Decide(layered24); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

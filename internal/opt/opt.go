@@ -26,11 +26,12 @@
 // legacy_test.go, kept as the reference frontier_test.go compares against).
 //
 // The procedure is exponential in the worst case; it is intended as a
-// ground-truth oracle for dags of up to MaxNodes nodes, against which the
-// paper's closed-form schedules are machine-checked.  The real resource
-// bound is the widest lattice layer, not the node count: AnalyzeBudget
-// caps the layer width and fails with ErrBudget instead of exhausting
-// memory on near-antichain dags.
+// ground-truth oracle against which the paper's closed-form schedules
+// are machine-checked.  Its one resource bound is the widest lattice
+// layer, not the node count: every analysis runs under a layer budget
+// (defaultBudget for Analyze) and fails with ErrBudget instead of
+// exhausting memory on near-antichain dags.  A dag over the 36-node
+// cap fails the same way.
 package opt
 
 import (
@@ -44,15 +45,19 @@ import (
 	"icsched/internal/dag"
 )
 
-// MaxNodes bounds the dag size the oracle accepts.  Ideals are single
-// 64-bit masks; the frontier representation holds two layers (not the
-// whole lattice), so the practical limit is layer width — use
-// AnalyzeBudget to guard it on unstructured dags.
-const MaxNodes = 36
+// maxNodes bounds the dag size the oracle accepts.  Ideals are single
+// 64-bit masks, so the cap is not the real limit; the layer budget is.
+const maxNodes = 36
 
-// ErrBudget reports that a lattice layer outgrew the entry budget given
-// to AnalyzeBudget or DecideBudget.
-var ErrBudget = errors.New("opt: lattice layer exceeds entry budget")
+// defaultBudget is Analyze's cap on the ideals of one lattice layer,
+// two 16 MiB arenas.  It is over 300× the widest layer any in-tree
+// caller reaches, while a 36-node antichain hits it at layer 6 instead
+// of asking for C(36,18) ≈ 9·10⁹ entries.
+const defaultBudget = 1 << 20
+
+// ErrBudget reports that a dag is beyond the oracle's reach: a lattice
+// layer outgrew the entry budget, or the dag has more than 36 nodes.
+var ErrBudget = errors.New("opt: dag beyond the oracle's reach")
 
 // entry is one frontier ideal: the executed-set mask and the bitmask of
 // its ELIGIBLE nodes (|ELIGIBLE| is its popcount).  Masks live in the
@@ -83,34 +88,37 @@ type Lattice struct {
 	// through the good layers re-expands into a witness.
 	good   [][]uint64
 	admits bool
+	// workers and budget are the expander settings the lattice was
+	// built with; CountSchedules re-expands under the same ones.
+	workers, budget int
 }
 
-// Analyze enumerates the ideal lattice of g with GOMAXPROCS workers and
-// no layer budget.  It fails if g has more than MaxNodes nodes.
-func Analyze(g *dag.Dag) (*Lattice, error) { return AnalyzeBudget(g, 0, 0) }
+// Analyze enumerates the ideal lattice of g with GOMAXPROCS workers
+// under the default layer budget.  It fails with an error wrapping
+// ErrBudget when g is beyond the oracle's reach.
+func Analyze(g *dag.Dag) (*Lattice, error) { return AnalyzeBudget(g, defaultBudget) }
 
-// AnalyzeWorkers is Analyze with an explicit worker count (≤ 0 means
-// GOMAXPROCS).  workers = 1 degenerates to the sequential frontier scan;
-// results are identical for every worker count.
-func AnalyzeWorkers(g *dag.Dag, workers int) (*Lattice, error) {
-	return AnalyzeBudget(g, workers, 0)
+// AnalyzeBudget is Analyze with an explicit cap on the per-layer ideal
+// count.  When a layer would exceed the budget it returns an error
+// wrapping ErrBudget, letting callers skip oracle checks on dags whose
+// lattice is too wide instead of exhausting memory.
+func AnalyzeBudget(g *dag.Dag, budget int) (*Lattice, error) {
+	return analyze(g, runtime.GOMAXPROCS(0), budget)
 }
 
-// AnalyzeBudget is AnalyzeWorkers with a cap on the per-layer ideal
-// count (≤ 0 means unlimited).  When a layer would exceed the budget it
-// returns an error wrapping ErrBudget, letting callers skip oracle
-// checks on dags whose lattice is too wide instead of exhausting memory.
-func AnalyzeBudget(g *dag.Dag, workers, budget int) (*Lattice, error) {
+// analyze builds the lattice with the given worker count; workers = 1
+// degenerates to the sequential frontier scan, and results are
+// identical for every worker count.
+func analyze(g *dag.Dag, workers, budget int) (*Lattice, error) {
 	n := g.NumNodes()
-	if n > MaxNodes {
-		return nil, fmt.Errorf("opt: dag has %d nodes, oracle limit is %d", n, MaxNodes)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if n > maxNodes {
+		return nil, fmt.Errorf("%w: %d nodes, limit %d", ErrBudget, n, maxNodes)
 	}
 	l := &Lattice{
 		g:          g,
 		n:          n,
+		workers:    workers,
+		budget:     budget,
 		perm:       make([]int, n),
 		parentMask: make([]uint64, n),
 		childMask:  make([]uint64, n),
@@ -141,10 +149,10 @@ func AnalyzeBudget(g *dag.Dag, workers, budget int) (*Lattice, error) {
 	l.numIdeals = 1
 	l.good[0] = []uint64{0}
 
-	ex := &expander{l: l, workers: workers}
+	ex := &expander{l: l}
 	cur := []entry{{0, l.srcElig}}
 	for t := 0; t < n; t++ {
-		next, err := ex.expand(cur, budget)
+		next, err := ex.expand(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -207,13 +215,13 @@ func containsMask(sorted []uint64, m uint64) bool {
 	return ok
 }
 
-// expander generates lattice layers into two ping-pong arenas that are
-// reused across layers, so steady-state expansion allocates nothing.
+// expander generates lattice layers, with the lattice's workers and
+// under its budget, into two ping-pong arenas that are reused across
+// layers, so steady-state expansion allocates nothing.
 type expander struct {
-	l       *Lattice
-	workers int
-	arena   [2][]entry
-	flip    int
+	l     *Lattice
+	arena [2][]entry
+	flip  int
 }
 
 // expand produces the duplicate-free successor layer of cur.  Under the
@@ -221,13 +229,13 @@ type expander struct {
 // unique canonical parent — so the layer size is known exactly up front
 // (which is also what the budget is checked against) and workers can
 // write disjoint ranges of the output arena with no reconciliation.
-func (ex *expander) expand(cur []entry, budget int) ([]entry, error) {
+func (ex *expander) expand(cur []entry) ([]entry, error) {
 	total := 0
 	for i := range cur {
 		total += bits.OnesCount64(cur[i].elig >> uint(bits.Len64(cur[i].mask)))
 	}
-	if budget > 0 && total > budget {
-		return nil, fmt.Errorf("opt: layer with %d ideals over budget %d: %w", total, budget, ErrBudget)
+	if budget := ex.l.budget; total > budget {
+		return nil, fmt.Errorf("%w: a lattice layer of %d ideals, budget %d", ErrBudget, total, budget)
 	}
 	out := ex.arena[ex.flip]
 	if cap(out) < total {
@@ -237,10 +245,7 @@ func (ex *expander) expand(cur []entry, budget int) ([]entry, error) {
 		out = out[:total]
 	}
 	ex.flip ^= 1
-	w := ex.workers
-	if w > len(cur) {
-		w = len(cur)
-	}
+	w := min(ex.l.workers, len(cur))
 	if w <= 1 || total < 4096 {
 		ex.emit(cur, out)
 		return out, nil
@@ -378,40 +383,4 @@ func (l *Lattice) OptimalSchedule() ([]dag.NodeID, bool) {
 		}
 	}
 	return order, true
-}
-
-// Decision is the result of the Decide-only mode: the maxE profile and
-// the admits/witness answer, with no lattice retained.
-type Decision struct {
-	// MaxE is the per-step maximum eligibility profile (length n+1).
-	MaxE []int
-	// NumIdeals is the total number of ideals enumerated.
-	NumIdeals int
-	// Admits reports whether the dag admits an IC-optimal schedule.
-	Admits bool
-	// Witness is an IC-optimal schedule when Admits, nil otherwise.
-	Witness []dag.NodeID
-}
-
-// Decide runs the oracle in decision mode: it answers maxE / admits /
-// witness and releases all lattice state before returning, so long-lived
-// callers hold only the profile and the witness chain.
-func Decide(g *dag.Dag) (*Decision, error) { return DecideBudget(g, 0, 0) }
-
-// DecideWorkers is Decide with an explicit worker count.
-func DecideWorkers(g *dag.Dag, workers int) (*Decision, error) {
-	return DecideBudget(g, workers, 0)
-}
-
-// DecideBudget is DecideWorkers with a layer budget (see AnalyzeBudget).
-func DecideBudget(g *dag.Dag, workers, budget int) (*Decision, error) {
-	l, err := AnalyzeBudget(g, workers, budget)
-	if err != nil {
-		return nil, err
-	}
-	d := &Decision{MaxE: l.MaxE(), NumIdeals: l.numIdeals, Admits: l.admits}
-	if l.admits {
-		d.Witness, _ = l.OptimalSchedule()
-	}
-	return d, nil
 }

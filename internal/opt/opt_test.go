@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,8 +170,17 @@ func TestSingleNodeAndEmpty(t *testing.T) {
 }
 
 func TestAnalyzeRejectsHugeDag(t *testing.T) {
-	if _, err := Analyze(dag.NewBuilder(MaxNodes + 1).MustBuild()); err == nil {
-		t.Fatal("oversized dag accepted")
+	if _, err := Analyze(dag.NewBuilder(maxNodes + 1).MustBuild()); !errors.Is(err, ErrBudget) {
+		t.Fatalf("oversized dag: err = %v, want ErrBudget", err)
+	}
+}
+
+// TestAnalyzeDefaultBudget checks that the default layer budget stops a
+// 36-node antichain — C(36,18) ≈ 9·10⁹ ideals in its widest layer — at
+// a layer of about 2·10⁶ instead of exhausting memory.
+func TestAnalyzeDefaultBudget(t *testing.T) {
+	if _, err := Analyze(dag.NewBuilder(maxNodes).MustBuild()); !errors.Is(err, ErrBudget) {
+		t.Fatalf("36-node antichain: err = %v, want ErrBudget", err)
 	}
 }
 

@@ -596,7 +596,7 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	close(l.flusherC)
-	err := l.syncNoStateLocked()
+	err := l.syncLocked()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
@@ -617,19 +617,4 @@ func (l *Log) Kill() {
 	l.closed = true
 	close(l.flusherC)
 	l.f.Close()
-}
-
-// syncNoStateLocked is syncLocked without the closed check, for the
-// Close path.
-func (l *Log) syncNoStateLocked() error {
-	start := time.Now()
-	err := l.f.Sync()
-	if l.opts.FsyncObserver != nil {
-		l.opts.FsyncObserver(time.Since(start))
-	}
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.unsynced = 0
-	return nil
 }
